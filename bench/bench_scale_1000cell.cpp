@@ -284,10 +284,8 @@ void bench_selection(const mcs::SensingTask& task,
 }
 
 /// The paper's DRQN architecture at the 1000-cell deployment scale (k = 2,
-/// 64 LSTM units, batch 32): one batched minibatch update vs the retained
-/// per-sample reference. At this width the reference materialises a ~2 MB
-/// Wxᵀ per sample per step, so the batched engine's advantage grows with
-/// the cell count.
+/// 64 LSTM units, batch 32): the absolute time of one batched minibatch
+/// update.
 void bench_train_step(std::size_t cells, bench::JsonReporter& report,
                       bool quick) {
   const auto make_trainer = [&] {
@@ -316,23 +314,10 @@ void bench_train_step(std::size_t cells, bench::JsonReporter& report,
   rl::DqnTrainer batched = make_trainer();
   const auto run = bench::measure_ms([&] { (void)batched.train_step(); },
                                      target, 500);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  rl::DqnTrainer reference = make_trainer();
-  const auto ref_run = bench::measure_ms(
-      [&] { (void)reference.train_step_reference(); }, target, 500);
-  report.add_with_reference("scale_train_step_1000cell", run.wall_ms,
-                            run.iterations, 1e3 / run.wall_ms,
-                            ref_run.wall_ms, ref_run.iterations);
-  std::cout << "1000-cell DRQN train step: batched "
-            << format_double(run.wall_ms, 2) << " ms, per-sample reference "
-            << format_double(ref_run.wall_ms, 2) << " ms, speedup "
-            << format_double(ref_run.wall_ms / run.wall_ms, 2) << "x\n";
-#else
   report.add("scale_train_step_1000cell", run.wall_ms, run.iterations,
              1e3 / run.wall_ms);
   std::cout << "1000-cell DRQN train step: batched "
             << format_double(run.wall_ms, 2) << " ms\n";
-#endif
 }
 
 }  // namespace

@@ -47,4 +47,16 @@ std::size_t QbcSelector::select(const mcs::SparseMcsEnvironment& env) {
   return best_cells[rng_.uniform_index(best_cells.size())];
 }
 
+std::vector<std::uint64_t> QbcSelector::checkpoint_state_words() const {
+  std::vector<std::uint64_t> words = rng_.state_words();
+  const auto committee = committee_.checkpoint_state_words();
+  words.insert(words.end(), committee.begin(), committee.end());
+  return words;
+}
+
+void QbcSelector::restore_state_words(
+    const std::vector<std::uint64_t>& words) {
+  committee_.restore_state_words(rng_.restore_state_words(words));
+}
+
 }  // namespace drcell::baselines

@@ -24,6 +24,13 @@ class QbcSelector final : public CellSelector {
   std::size_t select(const mcs::SparseMcsEnvironment& env) override;
   std::string name() const override { return "QBC"; }
 
+  /// The tie-break draw stream followed by the committee's engine state
+  /// (the ALS warm-start fit): a resumed QBC campaign infers from the same
+  /// warm start and breaks ties with the same draws as the uninterrupted
+  /// run, so it picks the same cells.
+  std::vector<std::uint64_t> checkpoint_state_words() const override;
+  void restore_state_words(const std::vector<std::uint64_t>& words) override;
+
  private:
   cs::InferenceCommittee committee_;
   Rng rng_;

@@ -2,9 +2,6 @@
 // the quality gate is satisfied.
 #pragma once
 
-#include <algorithm>
-#include <array>
-
 #include "baselines/selector.h"
 #include "util/rng.h"
 
@@ -20,14 +17,12 @@ class RandomSelector final : public CellSelector {
   /// The draw stream (util/rng.h save/restore): a resumed RANDOM campaign
   /// picks the exact cells the uninterrupted run would have.
   std::vector<std::uint64_t> checkpoint_state_words() const override {
-    const auto s = rng_.save_state();
-    return std::vector<std::uint64_t>(s.begin(), s.end());
+    return rng_.state_words();
   }
   void restore_state_words(const std::vector<std::uint64_t>& words) override {
-    DRCELL_CHECK_MSG(words.size() == 6, "RANDOM checkpoint needs 6 words");
-    std::array<std::uint64_t, 6> s;
-    std::copy(words.begin(), words.end(), s.begin());
-    rng_.restore_state(s);
+    DRCELL_CHECK_MSG(words.size() == Rng::kStateWords,
+                     "RANDOM checkpoint needs 6 words");
+    rng_.restore_state_words(words);
   }
 
  private:

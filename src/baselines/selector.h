@@ -31,9 +31,10 @@ class CellSelector {
   /// state as opaque 64-bit words, such that restore_state_words on a
   /// freshly constructed same-config selector makes its future decisions
   /// bit-identical to the checkpointed one's. Stateless selectors (greedy
-  /// DR-Cell, QBC, oracle) keep the empty default; stochastic ones
-  /// (RANDOM, online DR-Cell) serialise their RNG stream. Model weights
-  /// travel separately in the checkpoint's agent table, not here.
+  /// DR-Cell, oracle) keep the empty default; stochastic ones (RANDOM,
+  /// online DR-Cell) serialise their RNG stream, and QBC adds its
+  /// committee's ALS warm-start fit after it. Model weights travel
+  /// separately in the checkpoint's agent table, not here.
   virtual std::vector<std::uint64_t> checkpoint_state_words() const {
     return {};
   }

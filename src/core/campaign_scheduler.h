@@ -120,10 +120,10 @@ class CampaignScheduler {
   using FallbackFactory = std::function<std::shared_ptr<baselines::CellSelector>(
       const std::string& id, std::size_t slot)>;
 
+  /// Every campaign runs DECIDE/STEP/OBSERVE in its own fault domain: a
+  /// throwing campaign is recorded as an Incident (and eventually
+  /// quarantined) instead of unwinding step_wave. These options tune that.
   struct FaultToleranceOptions {
-    /// Per-campaign fault domains in DECIDE/STEP/OBSERVE. Off = the legacy
-    /// behaviour: the first campaign exception unwinds step_wave.
-    bool isolate = true;
     /// In-wave retries of a failed environment step (same action; a
     /// transient fault recovered this way keeps the trajectory
     /// bit-identical). DECIDE/OBSERVE faults retry on the next wave
@@ -228,8 +228,8 @@ class CampaignScheduler {
     std::size_t consecutive_faults = 0;
   };
 
-  /// Returns false when a batched forward threw (isolated mode only); the
-  /// caller then re-decides those campaigns serially per-campaign.
+  /// Returns false when a batched forward threw; the caller then re-decides
+  /// those campaigns serially per-campaign.
   bool decide_batched(const std::vector<std::size_t>& active);
   void note_incident(std::string campaign, std::string kind,
                      std::string detail);

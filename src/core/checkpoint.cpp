@@ -17,7 +17,6 @@ namespace drcell::core {
 namespace {
 
 constexpr char kMagic[4] = {'D', 'R', 'C', 'K'};
-constexpr std::uint32_t kVersionLegacy = 1;
 constexpr std::uint32_t kVersion = 2;
 
 using nn::SerializationError;
@@ -76,11 +75,10 @@ std::vector<DrCellAgent*> collect_agents(
 }  // namespace
 
 /// Private-state accessor: the one friend of CampaignScheduler the
-/// checkpoint layer goes through. Bodies are version-parameterised so the
-/// v1 and v2 writers/readers share one definition of the record layout.
+/// checkpoint layer goes through.
 struct CheckpointAccess {
-  static void write_body(const CampaignScheduler& scheduler, std::ostream& out,
-                         std::uint32_t version) {
+  static void write_body(const CampaignScheduler& scheduler,
+                         std::ostream& out) {
     std::vector<std::shared_ptr<baselines::CellSelector>> selectors;
     selectors.reserve(scheduler.slots_.size());
     for (const auto& slot : scheduler.slots_)
@@ -115,16 +113,13 @@ struct CheckpointAccess {
       out.write(reinterpret_cast<const char*>(words.data()),
                 static_cast<std::streamsize>(words.size() *
                                              sizeof(std::uint64_t)));
-      if (version >= 2) {
-        write_pod<std::uint8_t>(
-            out, slot.state == CampaignState::kQuarantined ? 1 : 0);
-        write_string(out, slot.quarantine_reason);
-      }
+      write_pod<std::uint8_t>(
+          out, slot.state == CampaignState::kQuarantined ? 1 : 0);
+      write_string(out, slot.quarantine_reason);
     }
   }
 
-  static void read_body(CampaignScheduler& scheduler, std::istream& in,
-                        std::uint32_t version) {
+  static void read_body(CampaignScheduler& scheduler, std::istream& in) {
     const auto waves = read_pod<std::uint64_t>(in);
     const auto campaign_count = read_pod<std::uint64_t>(in);
     if (campaign_count != scheduler.slots_.size())
@@ -198,13 +193,11 @@ struct CheckpointAccess {
                                            sizeof(std::uint64_t)));
       if (!in) throw CheckpointCorruptionError("truncated checkpoint stream");
       slot.selector->restore_state_words(words);
-      if (version >= 2) {
-        states[i] = read_pod<std::uint8_t>(in);
-        if (states[i] > 1)
-          throw CheckpointCorruptionError(
-              "invalid campaign state byte in checkpoint");
-        reasons[i] = read_string(in, 4096, "quarantine reason");
-      }
+      states[i] = read_pod<std::uint8_t>(in);
+      if (states[i] > 1)
+        throw CheckpointCorruptionError(
+            "invalid campaign state byte in checkpoint");
+      reasons[i] = read_string(in, 4096, "quarantine reason");
     }
 
     // Replay: fresh engine, logged actions, in order (see header). The
@@ -254,7 +247,7 @@ void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out) {
   // Serialise the body first so the envelope can carry its exact size and
   // CRC; a reader can then tell truncation/bit-rot from registry mismatch.
   std::ostringstream body(std::ios::binary);
-  CheckpointAccess::write_body(scheduler, body, kVersion);
+  CheckpointAccess::write_body(scheduler, body);
   const std::string payload = std::move(body).str();
 
   out.write(kMagic, sizeof(kMagic));
@@ -262,14 +255,6 @@ void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out) {
   write_pod<std::uint64_t>(out, payload.size());
   write_pod<std::uint32_t>(out, util::crc32(payload.data(), payload.size()));
   out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!out) throw SerializationError("failed to write checkpoint stream");
-}
-
-void save_checkpoint_v1(const CampaignScheduler& scheduler,
-                        std::ostream& out) {
-  out.write(kMagic, sizeof(kMagic));
-  write_pod<std::uint32_t>(out, kVersionLegacy);
-  CheckpointAccess::write_body(scheduler, out, kVersionLegacy);
   if (!out) throw SerializationError("failed to write checkpoint stream");
 }
 
@@ -281,12 +266,6 @@ void load_checkpoint(CampaignScheduler& scheduler, std::istream& in) {
     throw CheckpointCorruptionError(
         "bad magic: not a DR-Cell checkpoint stream");
   const auto version = read_pod<std::uint32_t>(in);
-  if (version == kVersionLegacy) {
-    // Legacy stream: no envelope; the body is parsed straight off the
-    // stream, truncation surfacing as CheckpointCorruptionError.
-    CheckpointAccess::read_body(scheduler, in, version);
-    return;
-  }
   if (version != kVersion)
     throw SerializationError("unsupported checkpoint version " +
                              std::to_string(version));
@@ -304,7 +283,7 @@ void load_checkpoint(CampaignScheduler& scheduler, std::istream& in) {
     throw CheckpointCorruptionError(
         "checkpoint CRC mismatch (bit-rot or torn write)");
   std::istringstream body(payload, std::ios::binary);
-  CheckpointAccess::read_body(scheduler, body, version);
+  CheckpointAccess::read_body(scheduler, body);
 }
 
 void save_checkpoint_file(const CampaignScheduler& scheduler,

@@ -12,11 +12,12 @@
 //   per campaign: u64 id length + bytes, i64 agent index (-1 = no agent),
 //     u64 cycle index at checkpoint, u64 action count + u32 actions (the
 //     ordered action log), u64 word count + u64 selector state words
-//     (CellSelector::checkpoint_state_words — RNG streams), u8 campaign
+//     (CellSelector::checkpoint_state_words — RNG streams, plus QBC's
+//     committee ALS warm-start fit), u8 campaign
 //     state (0 = active, 1 = quarantined) + quarantine reason string.
 //
-// v1 streams (no size/CRC header, no quarantine state) are still read;
-// save_checkpoint_v1 still writes them for compatibility tooling.
+// Only version 2 is read: any other version, including the unenveloped v1
+// layout earlier releases wrote, is rejected with nn::SerializationError.
 //
 // Error taxonomy — the load path distinguishes DAMAGED BYTES from a VALID
 // STREAM THAT DOESN'T FIT this scheduler:
@@ -38,9 +39,12 @@
 // Resume is replay: load_checkpoint requires a scheduler already populated
 // with the same campaigns (matched by id, in order, same configs/tasks/
 // factories/selector types — the checkpoint stores state, not
-// configuration), restores agent weights and counters and selector RNG
+// configuration), restores agent weights and counters and selector state
 // words FIRST, then rebuilds each environment with a fresh engine from its
-// factory and replays the logged actions through env->step. The
+// factory and replays the logged actions through env->step. Replay drives
+// only the environment's engine; an engine a selector owns (QBC's
+// committee) is never replayed, so its warm start travels in the selector
+// state words instead. The
 // environment is deterministic given the action sequence and the replayed
 // engine sees the identical inference-call sequence (including the
 // order-sensitive ALS warm-start fingerprints — why the log keeps order,
@@ -78,9 +82,6 @@ class CheckpointMismatchError : public nn::SerializationError {
 };
 
 void save_checkpoint(const CampaignScheduler& scheduler, std::ostream& out);
-/// Legacy v1 writer (no CRC envelope, no quarantine state) — kept so the
-/// v1 read path stays exercised by tests and old tooling can be fed.
-void save_checkpoint_v1(const CampaignScheduler& scheduler, std::ostream& out);
 void load_checkpoint(CampaignScheduler& scheduler, std::istream& in);
 
 /// File-path convenience wrappers.

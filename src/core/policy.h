@@ -2,9 +2,6 @@
 // the campaign runner can evaluate DR-Cell next to QBC and RANDOM.
 #pragma once
 
-#include <algorithm>
-#include <array>
-
 #include "baselines/selector.h"
 #include "core/agent.h"
 #include "core/batched_selector.h"
@@ -54,15 +51,12 @@ class OnlineAdaptivePolicy final : public baselines::CellSelector {
   /// restored weights) may diverge from the uninterrupted run. The
   /// bit-identical resume guarantee covers non-training selectors.
   std::vector<std::uint64_t> checkpoint_state_words() const override {
-    const auto s = rng_.save_state();
-    return std::vector<std::uint64_t>(s.begin(), s.end());
+    return rng_.state_words();
   }
   void restore_state_words(const std::vector<std::uint64_t>& words) override {
-    DRCELL_CHECK_MSG(words.size() == 6,
+    DRCELL_CHECK_MSG(words.size() == Rng::kStateWords,
                      "DR-Cell-online checkpoint needs 6 words");
-    std::array<std::uint64_t, 6> s;
-    std::copy(words.begin(), words.end(), s.begin());
-    rng_.restore_state(s);
+    rng_.restore_state_words(words);
   }
 
   DrCellAgent& online_agent() { return agent_; }

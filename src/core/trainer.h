@@ -40,8 +40,9 @@ mcs::SparseMcsEnvironment make_training_environment(
 /// update: the replay buffer assembles a timestep-major [batch x cells]
 /// window batch from its encoded-sequence cache and the whole
 /// forward/loss/backward pipeline runs as batch-level GEMMs (see
-/// rl/dqn_trainer.h; config.dqn.reference_path routes it through the
-/// retained per-sample reference instead, bit-identically).
+/// rl/dqn_trainer.h). That engine is the only one: to train on the naive
+/// kernels or the std:: LSTM gate pass instead of fastmath, select the
+/// "reference" compute backend (DRCELL_BACKEND=reference).
 TrainingResult train_agent(DrCellAgent& agent, mcs::SparseMcsEnvironment& env,
                            std::size_t episodes);
 

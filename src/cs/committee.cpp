@@ -19,6 +19,28 @@ std::vector<Matrix> InferenceCommittee::infer_all(
   return out;
 }
 
+std::vector<std::uint64_t> InferenceCommittee::checkpoint_state_words() const {
+  std::vector<std::uint64_t> words;
+  for (const auto& m : members_) {
+    const std::vector<std::uint64_t> member = m->checkpoint_state_words();
+    words.push_back(member.size());
+    words.insert(words.end(), member.begin(), member.end());
+  }
+  return words;
+}
+
+void InferenceCommittee::restore_state_words(
+    std::span<const std::uint64_t> words) const {
+  for (const auto& m : members_) {
+    DRCELL_CHECK_MSG(!words.empty() && words[0] <= words.size() - 1,
+                     "truncated committee checkpoint state");
+    const std::size_t count = words[0];
+    m->restore_state_words(words.subspan(1, count));
+    words = words.subspan(1 + count);
+  }
+  DRCELL_CHECK_MSG(words.empty(), "trailing committee checkpoint state");
+}
+
 Matrix InferenceCommittee::disagreement(
     const std::vector<Matrix>& predictions) {
   DRCELL_CHECK_MSG(!predictions.empty(), "no predictions");

@@ -30,6 +30,12 @@ class InferenceCommittee {
   /// the member list.
   std::vector<Matrix> infer_all(const PartialMatrix& observed) const;
 
+  /// Every member's checkpoint state (InferenceEngine::
+  /// checkpoint_state_words), in member order, each prefixed by its word
+  /// count; restore_state_words reads that layout back into the members.
+  std::vector<std::uint64_t> checkpoint_state_words() const;
+  void restore_state_words(std::span<const std::uint64_t> words) const;
+
   /// Population variance of member predictions for every entry.
   static Matrix disagreement(const std::vector<Matrix>& predictions);
 

@@ -1,6 +1,7 @@
 #include "cs/matrix_completion.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "linalg/solvers.h"
@@ -58,6 +59,54 @@ MatrixCompletion::MatrixCompletion(MatrixCompletionOptions options)
 void MatrixCompletion::reset_warm_start() const {
   std::lock_guard<std::mutex> lock(warm_mutex_);
   warm_.reset();
+}
+
+// Warm-state word layout: rank, rows, cols, mu, fingerprint, rmse, then the
+// row factors (rows x rank) and the column factors (cols x rank), row-major.
+constexpr std::size_t kWarmHeaderWords = 6;
+
+std::vector<std::uint64_t> MatrixCompletion::checkpoint_state_words() const {
+  std::lock_guard<std::mutex> lock(warm_mutex_);
+  if (!warm_.has_value()) return {};
+  const Fit& f = warm_->fit;
+  std::vector<std::uint64_t> words = {
+      f.rank,
+      f.row_factors.rows(),
+      f.col_factors.rows(),
+      std::bit_cast<std::uint64_t>(f.mu),
+      warm_->fingerprint,
+      std::bit_cast<std::uint64_t>(warm_->rmse)};
+  for (const Matrix* m : {&f.row_factors, &f.col_factors})
+    for (const double v : m->data())
+      words.push_back(std::bit_cast<std::uint64_t>(v));
+  return words;
+}
+
+void MatrixCompletion::restore_state_words(
+    std::span<const std::uint64_t> words) const {
+  std::lock_guard<std::mutex> lock(warm_mutex_);
+  if (words.empty()) {
+    warm_.reset();
+    return;
+  }
+  DRCELL_CHECK_MSG(words.size() >= kWarmHeaderWords,
+                   "truncated matrix-completion checkpoint state");
+  const std::uint64_t rank = words[0], m = words[1], n = words[2];
+  DRCELL_CHECK_MSG(rank > 0 && rank <= options_.rank &&
+                       m <= words.size() && n <= words.size() &&
+                       words.size() == kWarmHeaderWords + (m + n) * rank,
+                   "malformed matrix-completion checkpoint state");
+  WarmState w;
+  w.fit.rank = rank;
+  w.fit.mu = std::bit_cast<double>(words[3]);
+  w.fingerprint = words[4];
+  w.rmse = std::bit_cast<double>(words[5]);
+  w.fit.row_factors = Matrix(m, rank);
+  w.fit.col_factors = Matrix(n, rank);
+  std::size_t next = kWarmHeaderWords;
+  for (Matrix* f : {&w.fit.row_factors, &w.fit.col_factors})
+    for (double& v : f->data()) v = std::bit_cast<double>(words[next++]);
+  warm_ = std::move(w);
 }
 
 MatrixCompletion::Fit MatrixCompletion::fit(

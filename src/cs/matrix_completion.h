@@ -115,6 +115,14 @@ class MatrixCompletion final : public InferenceEngine {
   /// to an unrelated sensing matrix mid-stream.
   void reset_warm_start() const;
 
+  /// The warm-start fit (factors, mu, rank, window fingerprint, rmse) as
+  /// bit-cast words — empty when nothing is cached — so a checkpointed
+  /// engine resumes with the cache an uninterrupted one would hold.
+  /// Restoring empty words drops the cache.
+  std::vector<std::uint64_t> checkpoint_state_words() const override;
+  void restore_state_words(
+      std::span<const std::uint64_t> words) const override;
+
   /// Overrides the pool that runs the ridge solves of an ALS half-sweep and
   /// of the leave-one-out pass. nullptr restores the global pool; a 0-worker
   /// pool gives strictly serial execution. Results are bit-identical for any

@@ -1,8 +1,11 @@
-// The "reference" compute backend: the retained pre-optimisation kernels,
-// promoted out of DRCELL_ENABLE_REFERENCE_KERNELS into an always-built
-// backend. Dense matmul is the seed's unblocked ikj loop; the transposed
-// forms are plain per-element loop nests; the sparse pair is the j-outer
-// gather; the LSTM gates are the scalar std::tanh / nn::sigmoid passes.
+// The "reference" compute backend: the one home of the naive kernels. Dense
+// matmul is the seed's unblocked ikj loop; the transposed forms are plain
+// per-element loop nests; the sparse pair is the j-outer gather; the LSTM
+// gates are the scalar std::tanh / nn::sigmoid passes (file-local below).
+// No other build flag or code path keeps a second copy of these kernels:
+// a caller who wants the naive arithmetic — a test oracle, the std:: gate
+// kernel instead of fastmath — selects this backend
+// (BackendRegistry::set_active("reference") or DRCELL_BACKEND=reference).
 //
 // Every matrix kernel here upholds the exact-arithmetic contract
 // (linalg/backend.h): per output element the additions run in ascending-k
@@ -14,13 +17,75 @@
 // native (std:: vs fastmath, within the documented ≤1e-12 fastmath bound),
 // which is what tolerance_vs_native() covers.
 #include "linalg/backend.h"
+
+#include <cmath>
+
 #include "linalg/matrix.h"
 #include "linalg/sparse_matrix.h"
-#include "nn/lstm.h"
+#include "nn/activations.h"
 
 namespace drcell {
 
 namespace {
+
+void std_gate_forward(const Matrix& z, const Matrix* c_prev, Matrix& gates,
+                      Matrix& c, Matrix& tanh_c, Matrix& h) {
+  // Scalar std::tanh / nn::sigmoid per element through operator() indexing.
+  const std::size_t batch = z.rows();
+  const std::size_t hidden = c.cols();
+  for (std::size_t r = 0; r < batch; ++r) {
+    for (std::size_t j = 0; j < hidden; ++j) {
+      const double zi = z(r, j);
+      const double zf = z(r, hidden + j);
+      const double zg = z(r, 2 * hidden + j);
+      const double zo = z(r, 3 * hidden + j);
+      const double i = nn::sigmoid(zi);
+      const double f = nn::sigmoid(zf);
+      const double g = std::tanh(zg);
+      const double o = nn::sigmoid(zo);
+      gates(r, j) = i;
+      gates(r, hidden + j) = f;
+      gates(r, 2 * hidden + j) = g;
+      gates(r, 3 * hidden + j) = o;
+      const double c_new =
+          (c_prev != nullptr ? f * (*c_prev)(r, j) : 0.0) + i * g;
+      c(r, j) = c_new;
+      const double tc = std::tanh(c_new);
+      tanh_c(r, j) = tc;
+      h(r, j) = o * tc;
+    }
+  }
+}
+
+void std_gate_backward(const Matrix& gates, const Matrix& tanh_c,
+                       const Matrix* c_prev, const Matrix& dh,
+                       const Matrix& dc_next, Matrix& dz, Matrix& dc_prev) {
+  const std::size_t batch = gates.rows();
+  const std::size_t hidden = tanh_c.cols();
+  for (std::size_t r = 0; r < batch; ++r) {
+    for (std::size_t j = 0; j < hidden; ++j) {
+      const double i = gates(r, j);
+      const double f = gates(r, hidden + j);
+      const double g = gates(r, 2 * hidden + j);
+      const double o = gates(r, 3 * hidden + j);
+      const double tc = tanh_c(r, j);
+      const double c_prev_j = c_prev != nullptr ? (*c_prev)(r, j) : 0.0;
+
+      const double dht = dh(r, j);
+      const double d_o = dht * tc;
+      const double dct = dc_next(r, j) + dht * o * nn::dtanh_from_output(tc);
+      const double d_i = dct * g;
+      const double d_f = dct * c_prev_j;
+      const double d_g = dct * i;
+      dc_prev(r, j) = dct * f;
+
+      dz(r, j) = d_i * nn::dsigmoid_from_output(i);
+      dz(r, hidden + j) = d_f * nn::dsigmoid_from_output(f);
+      dz(r, 2 * hidden + j) = d_g * nn::dtanh_from_output(g);
+      dz(r, 3 * hidden + j) = d_o * nn::dsigmoid_from_output(o);
+    }
+  }
+}
 
 class ReferenceBackend final : public ComputeBackend {
  public:
@@ -139,14 +204,13 @@ class ReferenceBackend final : public ComputeBackend {
 
   void lstm_gate_forward(const Matrix& z, const Matrix* c_prev, Matrix& gates,
                          Matrix& c, Matrix& tanh_c, Matrix& h) const override {
-    nn::lstm_gate_forward_reference(z, c_prev, gates, c, tanh_c, h);
+    std_gate_forward(z, c_prev, gates, c, tanh_c, h);
   }
   void lstm_gate_backward(const Matrix& gates, const Matrix& tanh_c,
                           const Matrix* c_prev, const Matrix& dh,
                           const Matrix& dc_next, Matrix& dz,
                           Matrix& dc_prev) const override {
-    nn::lstm_gate_backward_reference(gates, tanh_c, c_prev, dh, dc_next, dz,
-                                     dc_prev);
+    std_gate_backward(gates, tanh_c, c_prev, dh, dc_next, dz, dc_prev);
   }
 };
 

@@ -202,35 +202,6 @@ void matmul_blocked_into(const Matrix& a_m, const Matrix& b_m, Matrix& out) {
 
 }  // namespace kernels
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix Matrix::matmul_naive(const Matrix& other) const {
-  DRCELL_CHECK_MSG(cols_ == other.rows_, "matmul shape mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < other.cols_; ++j) {
-      double s = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) s += at(i, k) * other.at(k, j);
-      out(i, j) = s;
-    }
-  return out;
-}
-
-Matrix Matrix::matmul_unblocked(const Matrix& other) const {
-  DRCELL_CHECK_MSG(cols_ == other.rows_, "matmul shape mismatch");
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = data_[i * cols_ + k];
-      if (aik == 0.0) continue;
-      const double* brow = other.data_.data() + k * other.cols_;
-      double* orow = out.data_.data() + i * other.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += aik * brow[j];
-    }
-  }
-  return out;
-}
-#endif
-
 Matrix Matrix::matmul_transposed_self(const Matrix& other) const {
   Matrix out(cols_, other.cols());
   matmul_transposed_self_add(other, out);

@@ -86,8 +86,8 @@ class Matrix {
     DRCELL_DCHECK_MSG(r < rows_ && c < cols_, "matrix index out of range");
     return data_[r * cols_ + c];
   }
-  /// Always-checked element access regardless of build mode (boundary code,
-  /// parsers, and the naive reference kernels use it).
+  /// Always-checked element access regardless of build mode (boundary code
+  /// and parsers use it).
   double at(std::size_t r, std::size_t c) const {
     DRCELL_CHECK_MSG(r < rows_ && c < cols_, "matrix index out of range");
     return data_[r * cols_ + c];
@@ -133,17 +133,6 @@ class Matrix {
   /// Matrix product written into `out`, reusing its storage when already
   /// correctly shaped. `out` must not alias either operand.
   void matmul_into(const Matrix& other, Matrix& out) const;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// Benchmark floor: textbook i-j-k product through the always-checked
-  /// accessor (strided B walk, bounds check per element). This is the
-  /// unoptimised-scalar lower bound the perf gate compares against, NOT the
-  /// seed implementation — see matmul_unblocked for that.
-  Matrix matmul_naive(const Matrix& other) const;
-  /// The seed's actual kernel before this overhaul: single-level ikj with
-  /// raw pointers and the zero-skip, unblocked. Retained so the report can
-  /// show the blocked kernel's gain over what the repo really shipped.
-  Matrix matmul_unblocked(const Matrix& other) const;
-#endif
   /// thisᵀ * other without materialising the transpose.
   Matrix matmul_transposed_self(const Matrix& other) const;
   /// out += thisᵀ * other, accumulating directly into `out` (must already be

@@ -74,38 +74,4 @@ const Matrix& Sigmoid::backward(const Matrix& grad_output) {
   return grad_in_ws_;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix Tanh::forward_reference(const Matrix& input) {
-  cached_output_ = input;
-  cached_output_.apply([](double x) { return std::tanh(x); });
-  return cached_output_;
-}
-
-Matrix Tanh::backward_reference(const Matrix& grad_output) {
-  DRCELL_CHECK(grad_output.rows() == cached_output_.rows() &&
-               grad_output.cols() == cached_output_.cols());
-  Matrix grad_in(grad_output.rows(), grad_output.cols());
-  for (std::size_t i = 0; i < grad_in.data().size(); ++i)
-    grad_in.data()[i] =
-        grad_output.data()[i] * dtanh_from_output(cached_output_.data()[i]);
-  return grad_in;
-}
-
-Matrix Sigmoid::forward_reference(const Matrix& input) {
-  cached_output_ = input;
-  cached_output_.apply([](double x) { return sigmoid(x); });
-  return cached_output_;
-}
-
-Matrix Sigmoid::backward_reference(const Matrix& grad_output) {
-  DRCELL_CHECK(grad_output.rows() == cached_output_.rows() &&
-               grad_output.cols() == cached_output_.cols());
-  Matrix grad_in(grad_output.rows(), grad_output.cols());
-  for (std::size_t i = 0; i < grad_in.data().size(); ++i)
-    grad_in.data()[i] =
-        grad_output.data()[i] * dsigmoid_from_output(cached_output_.data()[i]);
-  return grad_in;
-}
-#endif
-
 }  // namespace drcell::nn

@@ -1,13 +1,12 @@
-// Element-wise activation layers and the scalar activation functions the
-// LSTM cell's reference path reuses.
+// Element-wise activation layers and the scalar std::-based activation
+// functions the "reference" compute backend's LSTM gate passes use.
 //
 // Tanh/Sigmoid run their forward and backward passes through the fastmath
 // array kernels (util/fastmath.h). Numeric-divergence contract: fastmath
 // matches std:: within 1e-12 relative on [-40, 40] (measured ≲ 1e-15 —
-// tests/fastmath_test.cpp), so outputs differ from the retained std::-based
-// reference path (forward_reference/backward_reference, compiled under
-// DRCELL_ENABLE_REFERENCE_KERNELS) at the last bits. See
-// docs/ARCHITECTURE.md ("Fastmath and the fused LSTM gate kernel").
+// tests/fastmath_test.cpp), so outputs differ from the scalar std:: forms
+// below at the last bits. See docs/ARCHITECTURE.md ("Fastmath and the
+// fused LSTM gate kernel").
 #pragma once
 
 #include "nn/layer.h"
@@ -15,7 +14,7 @@
 namespace drcell::nn {
 
 /// Scalar std::-based sigmoid (numerically stable in both tails) — the
-/// reference-path form; the production layers use fastmath::sigmoid.
+/// reference backend's form; the production layers use fastmath::sigmoid.
 double sigmoid(double x);
 double dsigmoid_from_output(double y);  // y = sigmoid(x) -> y(1-y)
 double dtanh_from_output(double y);     // y = tanh(x)    -> 1-y²
@@ -36,13 +35,6 @@ class Tanh : public Layer {
  public:
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// The pre-fastmath std::tanh path (diverges from forward() by the
-  /// documented ≤1e-12 relative bound, unlike the bit-identical default
-  /// reference delegation of the other layers).
-  Matrix forward_reference(const Matrix& input) override;
-  Matrix backward_reference(const Matrix& grad_output) override;
-#endif
   std::string name() const override { return "Tanh"; }
 
  private:
@@ -54,11 +46,6 @@ class Sigmoid : public Layer {
  public:
   const Matrix& forward(const Matrix& input) override;
   const Matrix& backward(const Matrix& grad_output) override;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// The pre-fastmath nn::sigmoid path (same divergence contract as Tanh).
-  Matrix forward_reference(const Matrix& input) override;
-  Matrix backward_reference(const Matrix& grad_output) override;
-#endif
   std::string name() const override { return "Sigmoid"; }
 
  private:

@@ -121,27 +121,4 @@ const Matrix& Dense::backward_columns(const Matrix& grad_columns,
   return grad_in_ws_;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix Dense::forward_reference(const Matrix& input) {
-  DRCELL_CHECK_MSG(input.cols() == w_.value.rows(),
-                   "Dense: input feature mismatch");
-  cached_input_ = input;
-  Matrix out = input.matmul(w_.value);
-  for (std::size_t r = 0; r < out.rows(); ++r)
-    for (std::size_t c = 0; c < out.cols(); ++c) out(r, c) += b_.value(0, c);
-  return out;
-}
-
-Matrix Dense::backward_reference(const Matrix& grad_output) {
-  DRCELL_CHECK_MSG(grad_output.rows() == cached_input_.rows() &&
-                       grad_output.cols() == w_.value.cols(),
-                   "Dense: backward shape mismatch");
-  w_.grad += cached_input_.matmul_transposed_self(grad_output);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r)
-    for (std::size_t c = 0; c < grad_output.cols(); ++c)
-      b_.grad(0, c) += grad_output(r, c);
-  return grad_output.matmul(w_.value.transposed());
-}
-#endif
-
 }  // namespace drcell::nn

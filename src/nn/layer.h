@@ -46,29 +46,19 @@ struct Parameter {
 /// backward() accumulates parameter gradients in ascending batch-row order.
 /// Batched training is therefore bit-identical to a per-sample loop (from
 /// zeroed gradients); tests/batched_training_test.cpp enforces this.
+///
+/// Each layer has exactly one implementation: the per-sample loop the
+/// contract refers to is the same forward()/backward() run at B = 1. The
+/// kernels underneath dispatch through the active compute backend
+/// (linalg/backend.h), and the naive kernels live only in the "reference"
+/// backend — comparing against them means switching the backend, not
+/// calling a second code path.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   virtual const Matrix& forward(const Matrix& input) = 0;
   virtual const Matrix& backward(const Matrix& grad_output) = 0;
-
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// Retained pre-workspace reference path (benchmark floor of the batched
-  /// training engine, per the repo's retained-naive-reference convention):
-  /// value-returning calls that allocate fresh outputs and, where the
-  /// optimised path avoids it, materialise transposes. Must be
-  /// bit-identical to forward()/backward() — same dot products, same
-  /// addition order. Defaults delegate to the optimised path (correct, and
-  /// honest for layers whose old implementation had no extra cost beyond
-  /// the per-call copy).
-  virtual Matrix forward_reference(const Matrix& input) {
-    return forward(input);
-  }
-  virtual Matrix backward_reference(const Matrix& grad_output) {
-    return backward(grad_output);
-  }
-#endif
 
   /// Trainable parameters (empty for activations).
   virtual std::vector<Parameter*> parameters() { return {}; }

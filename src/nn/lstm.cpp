@@ -1,10 +1,8 @@
 #include "nn/lstm.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/backend.h"
-#include "nn/activations.h"
 #include "nn/init.h"
 #include "util/fastmath.h"
 
@@ -86,9 +84,9 @@ void lstm_gate_backward(const Matrix& gates, const Matrix& tanh_c,
     double* dzg = dzr + 2 * hidden;
     double* dzo = dzr + 3 * hidden;
     double* dcp = dc_prev.row(r).data();
-    // Same expressions, in the same evaluation order, as the std::
-    // reference pass — the backward is exact elementwise arithmetic, so
-    // the fused and reference passes are bit-identical given equal inputs.
+    // Same expressions, in the same evaluation order, as the reference
+    // backend's std:: gate pass — the backward is exact elementwise
+    // arithmetic, so the two passes are bit-identical given equal inputs.
     for (std::size_t j = 0; j < hidden; ++j) {
       const double c_prev_j = cp != nullptr ? cp[j] : 0.0;
       const double dht = dhr[j];
@@ -99,69 +97,6 @@ void lstm_gate_backward(const Matrix& gates, const Matrix& tanh_c,
       dzf[j] = (dct * c_prev_j) * (f[j] * (1.0 - f[j]));
       dzg[j] = (dct * i[j]) * (1.0 - g[j] * g[j]);
       dzo[j] = d_o * (o[j] * (1.0 - o[j]));
-    }
-  }
-}
-
-void lstm_gate_forward_reference(const Matrix& z, const Matrix* c_prev,
-                                 Matrix& gates, Matrix& c, Matrix& tanh_c,
-                                 Matrix& h) {
-  // The pre-fastmath gate pass: scalar std::tanh / nn::sigmoid per element
-  // through checked-ish operator() indexing, exactly as the cell shipped it.
-  check_gate_shapes(z, c_prev, gates, c, tanh_c, h);
-  const std::size_t batch = z.rows();
-  const std::size_t hidden = c.cols();
-  for (std::size_t r = 0; r < batch; ++r) {
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const double zi = z(r, j);
-      const double zf = z(r, hidden + j);
-      const double zg = z(r, 2 * hidden + j);
-      const double zo = z(r, 3 * hidden + j);
-      const double i = sigmoid(zi);
-      const double f = sigmoid(zf);
-      const double g = std::tanh(zg);
-      const double o = sigmoid(zo);
-      gates(r, j) = i;
-      gates(r, hidden + j) = f;
-      gates(r, 2 * hidden + j) = g;
-      gates(r, 3 * hidden + j) = o;
-      const double c_new =
-          (c_prev != nullptr ? f * (*c_prev)(r, j) : 0.0) + i * g;
-      c(r, j) = c_new;
-      const double tc = std::tanh(c_new);
-      tanh_c(r, j) = tc;
-      h(r, j) = o * tc;
-    }
-  }
-}
-
-void lstm_gate_backward_reference(const Matrix& gates, const Matrix& tanh_c,
-                                  const Matrix* c_prev, const Matrix& dh,
-                                  const Matrix& dc_next, Matrix& dz,
-                                  Matrix& dc_prev) {
-  const std::size_t batch = gates.rows();
-  const std::size_t hidden = tanh_c.cols();
-  for (std::size_t r = 0; r < batch; ++r) {
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const double i = gates(r, j);
-      const double f = gates(r, hidden + j);
-      const double g = gates(r, 2 * hidden + j);
-      const double o = gates(r, 3 * hidden + j);
-      const double tc = tanh_c(r, j);
-      const double c_prev_j = c_prev != nullptr ? (*c_prev)(r, j) : 0.0;
-
-      const double dht = dh(r, j);
-      const double d_o = dht * tc;
-      const double dct = dc_next(r, j) + dht * o * dtanh_from_output(tc);
-      const double d_i = dct * g;
-      const double d_f = dct * c_prev_j;
-      const double d_g = dct * i;
-      dc_prev(r, j) = dct * f;
-
-      dz(r, j) = d_i * dsigmoid_from_output(i);
-      dz(r, hidden + j) = d_f * dsigmoid_from_output(f);
-      dz(r, 2 * hidden + j) = d_g * dtanh_from_output(g);
-      dz(r, 3 * hidden + j) = d_o * dsigmoid_from_output(o);
     }
   }
 }
@@ -202,15 +137,6 @@ void Lstm::finish_step(std::size_t t) {
   Matrix& ht = h_[t];
   ht.resize_overwrite(batch_, hidden);
   const Matrix* c_prev = t > 0 ? &c_[t - 1] : nullptr;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  if (reference_gate_kernel_) {
-    // Forced std:: gates (the bit-identity test machinery) bypass the
-    // backend so both sides of a batched-vs-per-sample comparison share one
-    // gate arithmetic regardless of the selected backend.
-    lstm_gate_forward_reference(z, c_prev, gates, ct, tct, ht);
-    return;
-  }
-#endif
   BackendRegistry::active().lstm_gate_forward(z, c_prev, gates, ct, tct, ht);
 }
 
@@ -318,15 +244,8 @@ const std::vector<Matrix>& Lstm::backward_sequence(
     dz.resize_overwrite(batch_, 4 * hidden);
     dc_prev_ws_.resize_overwrite(batch_, hidden);
     const Matrix* c_prev = t > 0 ? &c_[t - 1] : nullptr;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-    if (reference_gate_kernel_)
-      lstm_gate_backward_reference(gates, tct, c_prev, dh_ws_, dc_next_ws_,
-                                   dz, dc_prev_ws_);
-    else
-#endif
-      BackendRegistry::active().lstm_gate_backward(gates, tct, c_prev, dh_ws_,
-                                                   dc_next_ws_, dz,
-                                                   dc_prev_ws_);
+    BackendRegistry::active().lstm_gate_backward(gates, tct, c_prev, dh_ws_,
+                                                 dc_next_ws_, dz, dc_prev_ws_);
 
     // Gradients flowing to inputs and to the previous step (no transposes
     // materialised).
@@ -402,123 +321,5 @@ const std::vector<Matrix>& Lstm::backward_sequence(
   }
   return grad_x_;
 }
-
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix Lstm::forward_reference(const std::vector<Matrix>& steps) {
-  // The pre-refactor forward: per-step products and gate blocks allocated
-  // fresh every call, the zero initial hidden state multiplied through.
-  DRCELL_CHECK_MSG(!steps.empty(), "LSTM forward on empty sequence");
-  const std::size_t hidden = hidden_size();
-  batch_ = steps.front().rows();
-  sparse_x_ = false;
-
-  const std::size_t t_max = steps.size();
-  x_.assign(steps.begin(), steps.end());
-  gates_.assign(t_max, Matrix());
-  c_.assign(t_max, Matrix());
-  tanh_c_.assign(t_max, Matrix());
-  h_.assign(t_max, Matrix());
-
-  Matrix h_prev(batch_, hidden);
-  Matrix c_prev(batch_, hidden);
-  for (std::size_t t = 0; t < t_max; ++t) {
-    const Matrix& xt = steps[t];
-    DRCELL_CHECK_MSG(xt.rows() == batch_ && xt.cols() == input_size(),
-                     "LSTM: inconsistent step shape");
-    Matrix z = xt.matmul(wx_.value);
-    z += h_prev.matmul(wh_.value);
-    for (std::size_t r = 0; r < batch_; ++r)
-      for (std::size_t col = 0; col < 4 * hidden; ++col)
-        z(r, col) += b_.value(0, col);
-
-    Matrix gates(batch_, 4 * hidden);
-    Matrix ct(batch_, hidden);
-    Matrix tct(batch_, hidden);
-    Matrix ht(batch_, hidden);
-    for (std::size_t r = 0; r < batch_; ++r) {
-      for (std::size_t j = 0; j < hidden; ++j) {
-        const double i = sigmoid(z(r, j));
-        const double f = sigmoid(z(r, hidden + j));
-        const double g = std::tanh(z(r, 2 * hidden + j));
-        const double o = sigmoid(z(r, 3 * hidden + j));
-        gates(r, j) = i;
-        gates(r, hidden + j) = f;
-        gates(r, 2 * hidden + j) = g;
-        gates(r, 3 * hidden + j) = o;
-        const double c_new = f * c_prev(r, j) + i * g;
-        ct(r, j) = c_new;
-        const double tc = std::tanh(c_new);
-        tct(r, j) = tc;
-        ht(r, j) = o * tc;
-      }
-    }
-    gates_[t] = std::move(gates);
-    c_[t] = ct;
-    tanh_c_[t] = std::move(tct);
-    h_[t] = ht;
-    h_prev = std::move(ht);
-    c_prev = std::move(ct);
-  }
-  return h_.back();
-}
-
-std::vector<Matrix> Lstm::backward_reference(const Matrix& grad_last_hidden) {
-  // The pre-refactor BPTT: Wxᵀ and Whᵀ materialised every step, parameter
-  // gradients accumulated through a freshly allocated product per step.
-  const std::size_t t_max = h_.size();
-  DRCELL_CHECK_MSG(t_max > 0, "LSTM backward before forward");
-  const std::size_t hidden = hidden_size();
-
-  std::vector<Matrix> grad_x(t_max);
-  Matrix dh_next(batch_, hidden);
-  Matrix dc_next(batch_, hidden);
-
-  for (std::size_t t = t_max; t-- > 0;) {
-    Matrix dh = t + 1 == t_max ? grad_last_hidden
-                               : Matrix(batch_, hidden);
-    DRCELL_CHECK(dh.rows() == batch_ && dh.cols() == hidden);
-    dh += dh_next;
-
-    const Matrix& gates = gates_[t];
-    const Matrix& tct = tanh_c_[t];
-    Matrix dz(batch_, 4 * hidden);
-    Matrix dc_prev(batch_, hidden);
-    for (std::size_t r = 0; r < batch_; ++r) {
-      for (std::size_t j = 0; j < hidden; ++j) {
-        const double i = gates(r, j);
-        const double f = gates(r, hidden + j);
-        const double g = gates(r, 2 * hidden + j);
-        const double o = gates(r, 3 * hidden + j);
-        const double tc = tct(r, j);
-        const double c_prev = t > 0 ? c_[t - 1](r, j) : 0.0;
-
-        const double dht = dh(r, j);
-        const double d_o = dht * tc;
-        const double dct = dc_next(r, j) + dht * o * dtanh_from_output(tc);
-        const double d_i = dct * g;
-        const double d_f = dct * c_prev;
-        const double d_g = dct * i;
-        dc_prev(r, j) = dct * f;
-
-        dz(r, j) = d_i * dsigmoid_from_output(i);
-        dz(r, hidden + j) = d_f * dsigmoid_from_output(f);
-        dz(r, 2 * hidden + j) = d_g * dtanh_from_output(g);
-        dz(r, 3 * hidden + j) = d_o * dsigmoid_from_output(o);
-      }
-    }
-
-    wx_.grad += x_[t].matmul_transposed_self(dz);
-    if (t > 0) wh_.grad += h_[t - 1].matmul_transposed_self(dz);
-    for (std::size_t r = 0; r < batch_; ++r)
-      for (std::size_t col = 0; col < 4 * hidden; ++col)
-        b_.grad(0, col) += dz(r, col);
-
-    grad_x[t] = dz.matmul(wx_.value.transposed());
-    dh_next = dz.matmul(wh_.value.transposed());
-    dc_next = std::move(dc_prev);
-  }
-  return grad_x;
-}
-#endif
 
 }  // namespace drcell::nn

@@ -21,14 +21,15 @@
 //
 // Gate nonlinearities run through the active compute backend's gate pass
 // (linalg/backend.h) — the fused fastmath kernel (below) under the default
-// native backend. Numeric-divergence contract: the fused pass differs from
-// the retained
-// std::-based gate pass by the fastmath bound (≤1e-12 relative per
+// native backend, the scalar std::tanh / nn::sigmoid pass under the
+// "reference" backend. Choosing the gate kernel is choosing the backend;
+// the cell itself has one implementation. Numeric-divergence contract: the
+// two gate passes differ by the fastmath bound (≤1e-12 relative per
 // activation on the training range, measured ≲1e-15 —
-// tests/fastmath_test.cpp), so forward()/backward() diverge from the
-// pre-fastmath reference path at the last bits while the batched-vs-
-// per-sample bit-identity above continues to hold *within* each kernel
-// choice. docs/ARCHITECTURE.md states the full contract.
+// tests/fastmath_test.cpp), so the same cell run under the two backends
+// diverges at the last bits, while the batched-vs-per-sample bit-identity
+// above holds *within* each backend. docs/ARCHITECTURE.md states the full
+// contract.
 #pragma once
 
 #include <vector>
@@ -55,26 +56,12 @@ void lstm_gate_forward(const Matrix& z, const Matrix* c_prev, Matrix& gates,
 /// tensors plus `dh` (gradient into h_t) and `dc_next` (cell-state gradient
 /// from step t+1), writes the pre-activation gradients `dz` ([B x 4H]) and
 /// `dc_prev` ([B x H], both pre-sized). Pure elementwise arithmetic — the
-/// same expressions, in the same order, as the std:: reference pass, so
-/// given identical inputs the two backward passes are bit-identical; only
-/// the forward transcendentals diverge.
+/// same expressions, in the same order, as the reference backend's std::
+/// pass, so given identical inputs the two backward passes are
+/// bit-identical; only the forward transcendentals diverge.
 void lstm_gate_backward(const Matrix& gates, const Matrix& tanh_c,
                         const Matrix* c_prev, const Matrix& dh,
                         const Matrix& dc_next, Matrix& dz, Matrix& dc_prev);
-
-/// The retained pre-fastmath gate passes (std::tanh / nn::sigmoid, scalar
-/// per-element loop) — the benchmark floor of `lstm_gate_pass`, the gate
-/// kernel driven by Lstm::set_reference_gate_kernel(true), and the gate
-/// implementation of the always-built "reference" compute backend
-/// (linalg/backend.h), which is why they are no longer gated behind
-/// DRCELL_ENABLE_REFERENCE_KERNELS.
-void lstm_gate_forward_reference(const Matrix& z, const Matrix* c_prev,
-                                 Matrix& gates, Matrix& c, Matrix& tanh_c,
-                                 Matrix& h);
-void lstm_gate_backward_reference(const Matrix& gates, const Matrix& tanh_c,
-                                  const Matrix* c_prev, const Matrix& dh,
-                                  const Matrix& dc_next, Matrix& dz,
-                                  Matrix& dc_prev);
 
 class Lstm {
  public:
@@ -119,28 +106,6 @@ class Lstm {
       const std::vector<Matrix>& grad_hidden_per_step,
       bool compute_input_grads = true);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// Retained pre-refactor cell (the benchmark floor of the batched
-  /// engine): fresh per-step allocations, Wxᵀ/Whᵀ materialised every step
-  /// of the backward recursion, parameter gradients accumulated per step,
-  /// std::-based gate nonlinearities. With the reference gate kernel
-  /// selected (below) this is bit-identical to forward()/backward() for
-  /// B = 1; against the default fused fastmath kernel it diverges by the
-  /// documented fastmath bound.
-  Matrix forward_reference(const std::vector<Matrix>& steps);
-  std::vector<Matrix> backward_reference(const Matrix& grad_last_hidden);
-
-  /// Routes the *batched* engine's gate passes through the retained
-  /// std::-based kernels instead of the fused fastmath ones — the batched
-  /// structure (workspaces, deferred AᵀB parameter gradients) is unchanged,
-  /// only the per-element nonlinearities differ. Used by the
-  /// `train_step_fastmath` bench pair (isolating the fastmath win) and by
-  /// the engine bit-identity tests (batched-vs-per-sample, which needs both
-  /// sides on std:: arithmetic).
-  void set_reference_gate_kernel(bool on) { reference_gate_kernel_ = on; }
-  bool reference_gate_kernel() const { return reference_gate_kernel_; }
-#endif
-
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
   std::size_t input_size() const { return wx_.value.rows(); }
@@ -154,13 +119,10 @@ class Lstm {
   Parameter b_;   // 1      x 4*hidden
 
   /// Shared tail of one forward step: z_ws_ already holds x_t·Wx; adds the
-  /// recurrent term and bias, then runs the configured gate pass into the
-  /// step-t caches.
+  /// recurrent term and bias, then runs the active backend's gate pass into
+  /// the step-t caches.
   void finish_step(std::size_t t);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  bool reference_gate_kernel_ = false;
-#endif
   // Forward caches (one entry per time step; storage reused across calls).
   std::vector<Matrix> x_;       // inputs (dense path)
   std::vector<SparseRowMatrix> sx_;  // inputs (sparse path)

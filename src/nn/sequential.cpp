@@ -23,23 +23,6 @@ const Matrix& Sequential::backward(const Matrix& grad_output) {
   return *g;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix Sequential::forward_reference(const Matrix& input) {
-  DRCELL_CHECK_MSG(!layers_.empty(), "empty Sequential");
-  Matrix x = input;
-  for (auto& l : layers_) x = l->forward_reference(x);
-  return x;
-}
-
-Matrix Sequential::backward_reference(const Matrix& grad_output) {
-  DRCELL_CHECK_MSG(!layers_.empty(), "empty Sequential");
-  Matrix g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    g = (*it)->backward_reference(g);
-  return g;
-}
-#endif
-
 std::vector<Parameter*> Sequential::parameters() {
   std::vector<Parameter*> all;
   for (auto& l : layers_) {

@@ -23,12 +23,6 @@ DqnTrainer::DqnTrainer(QNetworkPtr online, DqnOptions options,
   DRCELL_CHECK(options_.target_sync_interval > 0);
   DRCELL_CHECK(options_.min_replay >= options_.batch_size);
   target_ = online_->clone_architecture(rng_);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  if (options_.reference_gate_kernel) {
-    online_->set_reference_gate_kernel(true);
-    target_->set_reference_gate_kernel(true);
-  }
-#endif
   sync_target();
   optimizer_ = std::make_unique<nn::Adam>(online_->parameters(),
                                           options_.learning_rate);
@@ -171,22 +165,8 @@ double DqnTrainer::train_step() {
   DRCELL_FAULT_SITE("train.step", "");
   if (replay_.size() < options_.min_replay) return 0.0;
   const auto batch = replay_.sample_indices(options_.batch_size, rng_);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  if (options_.reference_path) return train_step_reference_on_indices(batch);
-#else
-  DRCELL_CHECK_MSG(!options_.reference_path,
-                   "reference_path requires DRCELL_REFERENCE_KERNELS");
-#endif
   return train_step_on_indices(batch);
 }
-
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-double DqnTrainer::train_step_reference() {
-  if (replay_.size() < options_.min_replay) return 0.0;
-  const auto batch = replay_.sample_indices(options_.batch_size, rng_);
-  return train_step_reference_on_indices(batch);
-}
-#endif
 
 double DqnTrainer::train_step_on_indices(
     std::span<const std::size_t> indices) {
@@ -409,59 +389,43 @@ std::size_t DqnTrainer::greedy_action_candidates(
   return candidates[candidate_argmax(state_ones, candidates)];
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-std::vector<Matrix> DqnTrainer::to_reference_sequence(
-    const SparseRowMatrix& s) const {
-  // Fresh per-call allocations on purpose — this feeds the retained
-  // pre-refactor reference path, whose convention is allocation-heavy.
-  std::vector<Matrix> seq(s.rows());
-  for (std::size_t j = 0; j < s.rows(); ++j) {
-    seq[j].resize(1, s.cols());
-    const auto cols = s.row_indices(j);
-    const auto vals = s.row_values(j);
-    for (std::size_t e = 0; e < cols.size(); ++e)
-      seq[j](0, cols[e]) = vals[e];
-  }
-  return seq;
-}
-
-double DqnTrainer::train_step_reference_on_indices(
+double DqnTrainer::train_step_per_sample_on_indices(
     std::span<const std::size_t> indices) {
-  // The per-sample trainer the batched engine replaces, retained as the
-  // reference it must match bit for bit: every transition runs as its own
-  // B=1 timestep-major sequence through the networks' pre-refactor
-  // reference implementations — target forward, optional Double-DQN online
-  // forward, online forward, per-sample loss gradient (normalised by the
-  // whole minibatch's element count so it equals the batched gradient row),
-  // backward — with gradients accumulating sample by sample.
   const std::size_t b = indices.size();
   DRCELL_CHECK(b > 0);
   const std::size_t actions = online_->num_actions();
   const double normalizer = static_cast<double>(b);
+  // Densifies one cached sparse encoding into a B = 1 timestep-major
+  // sequence, so the oracle runs the dense forward path.
+  const auto densify = [](const SparseRowMatrix& s) {
+    std::vector<Matrix> seq(s.rows(), Matrix(1, s.cols()));
+    for (std::size_t t = 0; t < s.rows(); ++t) {
+      const auto cols = s.row_indices(t);
+      const auto vals = s.row_values(t);
+      for (std::size_t e = 0; e < cols.size(); ++e)
+        seq[t](0, cols[e]) = vals[e];
+    }
+    return seq;
+  };
 
   optimizer_->zero_grad();
   double raw_loss_sum = 0.0;
   for (std::size_t i = 0; i < b; ++i) {
     const Experience& e = replay_.at(indices[i]);
     const EncodedExperience& enc = replay_.encoded(
-        indices[i], [this](const Experience& ex) {
-          return encode_experience(ex);
-        });
-    // The cache stores sparse encodings; the reference implementations
-    // consume dense B=1 sequences, so densify (outside any timed kernel
-    // contract — the reference is the floor, not the fast path).
-    const std::vector<Matrix> next_seq = to_reference_sequence(enc.next_state);
-    const std::vector<Matrix> state_seq = to_reference_sequence(enc.state);
+        indices[i],
+        [this](const Experience& ex) { return encode_experience(ex); });
+    const std::vector<Matrix> next_seq = densify(enc.next_state);
+    const std::vector<Matrix> state_seq = densify(enc.state);
 
-    const Matrix q_next_target = target_->forward_reference(next_seq);
-    double boot = 0.0;
-    if (options_.double_dqn) {
-      const Matrix q_next_online = online_->forward_reference(next_seq);
-      boot = bootstrap_value(e, q_next_target, q_next_online, 0);
-    } else {
-      boot = bootstrap_value(e, q_next_target, q_next_online_ws_, 0);
-    }
-    const Matrix q_pred = online_->forward_reference(state_seq);
+    // The online network's second forward overwrites its workspace, so the
+    // Double-DQN snapshot is copied; the target's result stays valid.
+    const Matrix& q_next_target = target_->forward_batch(next_seq);
+    if (options_.double_dqn)
+      q_next_online_ws_ = online_->forward_batch(next_seq);
+    const double boot =
+        bootstrap_value(e, q_next_target, q_next_online_ws_, 0);
+    const Matrix& q_pred = online_->forward_batch(state_seq);
 
     Matrix target_row(1, actions);
     Matrix mask_row(1, actions);
@@ -470,11 +434,10 @@ double DqnTrainer::train_step_reference_on_indices(
     const auto loss = nn::masked_huber_loss(q_pred, target_row, mask_row,
                                             options_.huber_delta, normalizer);
     raw_loss_sum += loss.raw_sum;
-    online_->backward_reference(loss.grad);
+    online_->backward(loss.grad);
   }
   return finish_update(raw_loss_sum, normalizer);
 }
-#endif
 
 void DqnTrainer::sync_target() {
   nn::copy_parameters(online_->parameters(), target_->parameters());

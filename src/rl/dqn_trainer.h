@@ -7,13 +7,15 @@
 // timestep-major minibatch from its encoded-sequence cache
 // (ReplayBuffer::fill_timestep_major), the target/online forwards, the
 // Double-DQN argmax, the masked TD loss and the backward pass all run over
-// [batch x m] matrices, and the per-sample loop survives only as
-// train_step_reference() — the retained reference path the batched engine
-// matches bit for bit under the std:: gate kernel
-// (DqnOptions::reference_gate_kernel) and within the documented fastmath
-// tolerance on the production fused-gate path
-// (tests/batched_training_test.cpp, docs/ARCHITECTURE.md, and the
-// self-checks in bench_micro_components).
+// [batch x m] matrices. The per-sample loop survives only as the test
+// oracle train_step_per_sample_on_indices(), which runs each transition
+// through the same networks at B = 1 and matches the batched update bit for
+// bit under any exact-contract compute backend
+// (tests/batched_training_test.cpp). There is no second engine and no
+// gate-kernel option: the naive kernels, the std:: LSTM gate pass among
+// them, live only in the "reference" backend (linalg/backend.h), so
+// comparing the fastmath and std:: gates means running the same trainer
+// under the native and the reference backend (docs/ARCHITECTURE.md).
 #pragma once
 
 #include <memory>
@@ -38,28 +40,6 @@ struct DqnOptions {
   double grad_clip_norm = 5.0;        ///< global-norm clipping; 0 disables
   double huber_delta = 1.0;           ///< TD-error robustness threshold
   bool double_dqn = false;            ///< Hasselt-style target (extension)
-  /// Route train_step() through the retained per-sample reference path
-  /// instead of the batched engine. Debug/verification only: the two paths
-  /// are bit-identical by contract (given the same gate kernel, see
-  /// reference_gate_kernel below), the reference is just slower. Requires
-  /// a build with DRCELL_REFERENCE_KERNELS (the default).
-  bool reference_path = false;
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// Run the batched engine's *recurrent* (LSTM) gate nonlinearities
-  /// (online and target networks) through the retained std::-based kernels
-  /// instead of the fused fastmath pass. Verification/benchmark only: with
-  /// this set, the batched engine is bit-identical to the per-sample
-  /// reference path for the shipped networks (DRQN = LSTM + Dense/ReLU
-  /// head, MLP = Dense/ReLU — the PR-4 contract); with the default
-  /// fastmath kernel the two paths agree within the documented fastmath
-  /// tolerance instead (docs/ARCHITECTURE.md,
-  /// tests/batched_training_test.cpp). NB the toggle does not reach
-  /// standalone nn::Tanh/nn::Sigmoid *layers* (always fastmath in
-  /// production) — a custom QNetwork using those in its head would diverge
-  /// from its std:: reference path by the same fastmath bound even with
-  /// this flag set.
-  bool reference_gate_kernel = false;
-#endif
   /// Train on candidate action subsets (metro tier): the minibatch is
   /// assembled sparse, the online Q head is evaluated only at each
   /// transition's taken action and the bootstrap argmax only over its
@@ -132,27 +112,22 @@ class DqnTrainer {
   void observe(Experience e);
 
   /// One batched minibatch update; returns the TD loss, or 0 while the
-  /// pool is below the warm-up threshold. (With options().reference_path
-  /// the update runs through train_step_reference() instead.)
+  /// pool is below the warm-up threshold.
   double train_step();
 
   /// The batched update core on a caller-chosen minibatch (exposed so
   /// tests and the bench can drive both paths over the identical batch).
   double train_step_on_indices(std::span<const std::size_t> indices);
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// The retained per-sample reference update (benchmark floor, same
-  /// convention as Matrix::matmul_naive): samples the same draw stream,
-  /// then forwards/backpropagates each transition as its own B=1 sequence
-  /// through the networks' pre-refactor reference implementations —
-  /// per-call allocations, transposes materialised per step, gradients
-  /// accumulated sample by sample. Bit-identical to train_step() by the
-  /// batched determinism contract; kept for the bit-identity tests and the
-  /// train_step_batched bench pair.
-  double train_step_reference();
-  double train_step_reference_on_indices(
+  /// Per-sample oracle of train_step_on_indices (tests): each transition
+  /// runs as its own B = 1 forward_batch/backward through the same online
+  /// and target networks — target forward, optional Double-DQN online
+  /// forward, online forward, loss gradient normalised by the whole
+  /// minibatch, backward — with gradients accumulated in sample order.
+  /// Bit-identical to the batched update under any exact-contract backend
+  /// by the batched determinism contract (rl/qnetwork.h).
+  double train_step_per_sample_on_indices(
       std::span<const std::size_t> indices);
-#endif
 
   /// Copies the online parameters into the fixed-target network.
   void sync_target();
@@ -190,11 +165,6 @@ class DqnTrainer {
   /// DqnOptions::candidate_training).
   double train_step_candidates_on_indices(
       std::span<const std::size_t> indices);
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// Densifies one cached sparse encoding into the B=1 timestep-major
-  /// sequence the reference implementations consume.
-  std::vector<Matrix> to_reference_sequence(const SparseRowMatrix& s) const;
-#endif
 
   QNetworkPtr online_;
   QNetworkPtr target_;

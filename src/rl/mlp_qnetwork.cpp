@@ -43,19 +43,6 @@ const Matrix& MlpQNetwork::forward_batch(
 
 void MlpQNetwork::backward(const Matrix& grad_q) { net_.backward(grad_q); }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix MlpQNetwork::forward_reference(const std::vector<Matrix>& sequence) {
-  // Pre-refactor behaviour: the flattened window is a fresh allocation per
-  // call, and every layer allocates its output.
-  Matrix flat = flatten(sequence);
-  return net_.forward_reference(flat);
-}
-
-void MlpQNetwork::backward_reference(const Matrix& grad_q) {
-  (void)net_.backward_reference(grad_q);
-}
-#endif
-
 std::vector<nn::Parameter*> MlpQNetwork::parameters() {
   return net_.parameters();
 }

@@ -9,7 +9,11 @@
 // (see nn/layer.h): row b of the batched Q output is bit-identical to a
 // B = 1 forward of sample b, and backward() accumulates parameter
 // gradients in ascending batch-row order so batched training replays a
-// per-sample loop addition for addition.
+// per-sample loop addition for addition. Each network has one
+// implementation: that per-sample loop is the same forward_batch/backward
+// run at B = 1 (DqnTrainer::train_step_per_sample_on_indices), and the
+// naive kernels — including the std:: LSTM gate pass — are reached by
+// selecting the "reference" compute backend, not through a second path.
 #pragma once
 
 #include <cstdint>
@@ -86,23 +90,6 @@ class QNetwork {
                                    __LINE__,
                                    name() + " has no candidate-column path");
   }
-
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-  /// Retained pre-batching reference path (the benchmark floor the batched
-  /// engine is gated against, per the repo's retained-naive-reference
-  /// convention): value-returning forward through the pre-workspace layer
-  /// implementations, backward with transposes materialised per step and
-  /// input gradients always computed. Bit-identical to
-  /// forward_batch()/backward() — the per-sample trainer reference drives
-  /// it with B = 1 sequences.
-  virtual Matrix forward_reference(const std::vector<Matrix>& sequence) = 0;
-  virtual void backward_reference(const Matrix& grad_q) = 0;
-
-  /// Routes any recurrent gate nonlinearities of the *batched* path through
-  /// the retained std::-based kernels instead of the fused fastmath ones
-  /// (see nn/lstm.h). No-op for networks without such kernels (MLP).
-  virtual void set_reference_gate_kernel(bool /*on*/) {}
-#endif
 
   virtual std::vector<nn::Parameter*> parameters() = 0;
 

@@ -201,28 +201,6 @@ void SpatialDrqnQNetwork::backward_columns(const Matrix& grad_columns,
   lstm_.backward(query_.backward(dquery_ws_), /*compute_input_grads=*/false);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
-Matrix SpatialDrqnQNetwork::forward_reference(
-    const std::vector<Matrix>& sequence) {
-  DRCELL_CHECK_MSG(sequence.size() == history_steps_,
-                   "sequence length mismatch");
-  // The x·Φ projection has no pre-refactor variant either; the reference
-  // trunk consumes the same projected steps the batched trunk does.
-  const Matrix last_hidden = lstm_.forward_reference(project(sequence));
-  const Matrix q = query_.forward_reference(last_hidden);
-  // The q·Φᵀ epilogue has no pre-refactor variant — the batched kernel is
-  // deterministic and batch-row independent, so the reference path shares
-  // it (bit-identity with forward_batch follows from the trunk contract).
-  return q.matmul_transposed_other(phi_);
-}
-
-void SpatialDrqnQNetwork::backward_reference(const Matrix& grad_q) {
-  const Matrix dquery = grad_q.matmul(phi_);
-  const Matrix grad_hidden = query_.backward_reference(dquery);
-  (void)lstm_.backward_reference(grad_hidden);
-}
-#endif
-
 std::vector<nn::Parameter*> SpatialDrqnQNetwork::parameters() {
   auto ps = lstm_.parameters();
   const auto qs = query_.parameters();

@@ -87,18 +87,23 @@ bool Rng::bernoulli(double p) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-std::array<std::uint64_t, 6> Rng::save_state() const {
+std::vector<std::uint64_t> Rng::state_words() const {
   return {s_[0], s_[1], s_[2], s_[3],
           std::bit_cast<std::uint64_t>(spare_normal_),
           has_spare_normal_ ? std::uint64_t{1} : std::uint64_t{0}};
 }
 
-void Rng::restore_state(const std::array<std::uint64_t, 6>& words) {
+std::span<const std::uint64_t> Rng::restore_state_words(
+    std::span<const std::uint64_t> words) {
+  DRCELL_CHECK_MSG(words.size() >= kStateWords,
+                   "Rng state needs " + std::to_string(kStateWords) +
+                       " words");
   DRCELL_CHECK_MSG((words[0] | words[1] | words[2] | words[3]) != 0,
                    "all-zero xoshiro state is invalid");
   for (std::size_t i = 0; i < 4; ++i) s_[i] = words[i];
   spare_normal_ = std::bit_cast<double>(words[4]);
   has_spare_normal_ = words[5] != 0;
+  return words.subspan(kStateWords);
 }
 
 }  // namespace drcell

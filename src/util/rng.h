@@ -6,8 +6,8 @@
 // has a tiny state compared to std::mt19937.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -80,13 +80,17 @@ class Rng {
   /// Derive an independent child generator (for per-component streams).
   Rng fork();
 
-  /// Checkpoint/resume support: the full generator state as six words —
-  /// the four xoshiro words, the cached Box–Muller spare (bit-cast), and
-  /// its validity flag. restore_state(save_state()) resumes the exact draw
-  /// stream, so a resumed campaign replays the uninterrupted one bit for
-  /// bit (core/checkpoint.h).
-  std::array<std::uint64_t, 6> save_state() const;
-  void restore_state(const std::array<std::uint64_t, 6>& words);
+  /// Checkpoint/resume support: the full generator state as kStateWords
+  /// words — the four xoshiro words, the cached Box–Muller spare
+  /// (bit-cast), and its validity flag. restore_state_words reads the first
+  /// kStateWords of `words` and returns the rest, so a selector can store
+  /// further state after its stream (baselines::CellSelector). Restoring
+  /// state_words() resumes the exact draw stream, so a resumed campaign
+  /// replays the uninterrupted one bit for bit (core/checkpoint.h).
+  static constexpr std::size_t kStateWords = 6;
+  std::vector<std::uint64_t> state_words() const;
+  std::span<const std::uint64_t> restore_state_words(
+      std::span<const std::uint64_t> words);
 
  private:
   std::uint64_t s_[4];

@@ -351,15 +351,14 @@ TEST_F(BackendConformance, LstmGradientsMatchCentralDifferences) {
   }
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
   // Batched-vs-per-sample train-step equivalence at B in {1, 7, 32}: two
   // identically seeded DRQN trainers, one batched and one through the
-  // retained per-sample reference path, over the same minibatches. Both
-  // pin the std:: gate kernel so the comparison isolates the backend's
-  // matrix arithmetic. Exact-contract backends must be bit-identical; for
-  // tolerance backends the per-sample path runs differently shaped GEMMs,
-  // so the documented end-to-end bound applies instead.
+  // per-sample oracle (B=1 forward_batch/backward per transition), over the
+  // same minibatches, both on this backend's kernels. Exact-contract
+  // backends must be bit-identical; for tolerance backends the per-sample
+  // path runs differently shaped GEMMs, so the documented end-to-end bound
+  // applies instead.
   for (std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{32}}) {
     const std::size_t cells = 6, k = 2;
     rl::DqnOptions opt;
@@ -367,13 +366,12 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
     opt.min_replay = batch;
     opt.replay_capacity = 64;
     opt.target_sync_interval = 3;
-    opt.reference_gate_kernel = true;
 
     Rng seed_rng(11);
     rl::DqnTrainer batched(
         std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng), opt, 5);
     Rng seed_rng2(11);
-    rl::DqnTrainer reference(
+    rl::DqnTrainer per_sample(
         std::make_unique<rl::DrqnQNetwork>(cells, k, 12, 0, seed_rng2), opt,
         5);
 
@@ -382,7 +380,7 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
       rl::Experience e = random_experience(cells, k, fill);
       rl::Experience copy = e;
       batched.observe(std::move(e));
-      reference.observe(std::move(copy));
+      per_sample.observe(std::move(copy));
     }
 
     Rng draw(9 + batch);
@@ -391,18 +389,18 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
       for (std::size_t i = 0; i < batch; ++i)
         indices.push_back(draw.uniform_index(40));
       const double loss_batched = batched.train_step_on_indices(indices);
-      const double loss_reference =
-          reference.train_step_reference_on_indices(indices);
+      const double loss_per_sample =
+          per_sample.train_step_per_sample_on_indices(indices);
       if (exact()) {
-        ASSERT_EQ(loss_batched, loss_reference)
+        ASSERT_EQ(loss_batched, loss_per_sample)
             << "B=" << batch << " step " << step;
       } else {
-        ASSERT_NEAR(loss_batched, loss_reference, 1e-9)
+        ASSERT_NEAR(loss_batched, loss_per_sample, 1e-9)
             << "B=" << batch << " step " << step;
       }
     }
     const auto pa = batched.online().parameters();
-    const auto pb = reference.online().parameters();
+    const auto pb = per_sample.online().parameters();
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i) {
       if (exact()) {
@@ -415,7 +413,6 @@ TEST_F(BackendConformance, BatchedTrainStepMatchesPerSample) {
     }
   }
 }
-#endif  // DRCELL_ENABLE_REFERENCE_KERNELS
 
 TEST_F(BackendConformance, TrainStepWorkerCountInvariance) {
   // The batched trainer's results must not depend on how many pool workers

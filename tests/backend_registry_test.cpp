@@ -139,23 +139,23 @@ TEST_F(BackendRegistryTest, RegisterCustomBackendAndDuplicateNameThrows) {
       CheckError);
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST_F(BackendRegistryTest, NativeMatmulPinnedToPreRegistrySeedKernel) {
   // The native-pin regression: the registry-dispatched matmul must stay
-  // bit-identical to matmul_unblocked, the retained seed kernel that never
-  // went through the backend layer. If a refactor of the dispatch path or
-  // the blocked kernel perturbs any addition, this trips.
+  // bit-identical to the seed's unblocked ikj kernel, which now lives only
+  // as the reference backend's matmul_into. If a refactor of the dispatch
+  // path or the blocked kernel perturbs any addition, this trips.
+  const ComputeBackend& seed_kernel = *BackendRegistry::find("reference");
   Rng rng(17);
   for (const auto& s : {std::array<std::size_t, 3>{1, 1, 1},
                         std::array<std::size_t, 3>{9, 33, 12},
                         std::array<std::size_t, 3>{40, 64, 130}}) {
     const Matrix a = random_matrix(s[0], s[1], rng);
     const Matrix b = random_matrix(s[1], s[2], rng, 0.0);
-    EXPECT_EQ(a.matmul(b), a.matmul_unblocked(b))
-        << s[0] << "x" << s[1] << "x" << s[2];
+    Matrix seed(s[0], s[2]);
+    seed_kernel.matmul_into(a, b, seed);
+    EXPECT_EQ(a.matmul(b), seed) << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
-#endif
 
 TEST_F(BackendRegistryTest, DirectKernelCallsMatchDispatchedMethods) {
   // kernels:: free functions (what the native backend forwards to) vs the

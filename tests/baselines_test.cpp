@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "baselines/oracle_selector.h"
 #include "baselines/qbc_selector.h"
@@ -100,6 +101,28 @@ TEST(QbcSelector, DeterministicGivenSameState) {
   auto sel1 = QbcSelector::make_default(*task, 9);
   auto sel2 = QbcSelector::make_default(*task, 9);
   EXPECT_EQ(sel1.select(env), sel2.select(env));
+}
+
+TEST(QbcSelector, CheckpointWordsCarryDrawStreamAndWarmStart) {
+  // The words hold the tie-break stream and the committee's ALS warm-start
+  // fit; restoring them into a fresh same-seed selector reproduces both, so
+  // the two selectors then choose alike and stay in the same state.
+  auto task = toy_task_ptr();
+  auto env = testing::make_toy_environment(task, 1e9);
+  auto sel = QbcSelector::make_default(*task, 9);
+  for (int i = 0; i < 4; ++i) env.step(sel.select(env));
+  const std::vector<std::uint64_t> words = sel.checkpoint_state_words();
+  EXPECT_GT(words.size(), Rng::kStateWords + 3);  // stream + per-member fit
+
+  auto resumed = QbcSelector::make_default(*task, 9);
+  EXPECT_NE(resumed.checkpoint_state_words(), words);
+  resumed.restore_state_words(words);
+  EXPECT_EQ(resumed.checkpoint_state_words(), words);
+  EXPECT_EQ(resumed.select(env), sel.select(env));
+  EXPECT_EQ(resumed.checkpoint_state_words(), sel.checkpoint_state_words());
+
+  auto other = QbcSelector::make_default(*task, 9);
+  EXPECT_THROW(other.restore_state_words({1, 2, 3}), CheckError);
 }
 
 TEST(OracleSelector, PicksErrorMinimisingCell) {

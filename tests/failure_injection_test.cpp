@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 
 #include "baselines/random_selector.h"
 #include "core/agent.h"
@@ -642,7 +643,12 @@ TEST(CheckpointIntegrity, WrongFleetIsMismatchNotCorruption) {
                core::CheckpointMismatchError);
 }
 
-TEST(CheckpointIntegrity, LegacyV1StreamStillResumesBitIdentically) {
+TEST(CheckpointIntegrity, Version1HeaderIsRejected) {
+  // DRCK v1 (no size/CRC envelope, no quarantine state) is no longer read:
+  // a v1 stream — the magic, version 1, then the record body straight
+  // after — must be refused with a typed SerializationError before any
+  // state is touched, and the scheduler must still take a valid v2 stream
+  // afterwards and resume bit-identically.
   const ToyFleet clean;
   core::CampaignScheduler uninterrupted;
   clean.populate(uninterrupted);
@@ -653,13 +659,23 @@ TEST(CheckpointIntegrity, LegacyV1StreamStillResumesBitIdentically) {
   burst_fleet.populate(burst);
   burst.run(/*max_waves=*/6);
   std::ostringstream out(std::ios::binary);
-  core::save_checkpoint_v1(burst, out);  // legacy writer, no CRC envelope
+  core::save_checkpoint(burst, out);
+  const std::string v2 = out.str();
+  // v2 header: magic (4), u32 version, u64 payload size, u32 CRC.
+  const std::uint32_t v1_version = 1;
+  std::string v1 = v2.substr(0, 4);
+  v1.append(reinterpret_cast<const char*>(&v1_version), sizeof(v1_version));
+  v1.append(v2.substr(4 + 4 + 8 + 4));
 
   const ToyFleet resumed_fleet;
   core::CampaignScheduler resumed;
   resumed_fleet.populate(resumed);
-  std::istringstream in(out.str(), std::ios::binary);
-  core::load_checkpoint(resumed, in);
+  std::istringstream v1_in(v1, std::ios::binary);
+  EXPECT_THROW(core::load_checkpoint(resumed, v1_in), nn::SerializationError);
+  EXPECT_EQ(resumed.waves_completed(), 0u);
+
+  std::istringstream v2_in(v2, std::ios::binary);
+  core::load_checkpoint(resumed, v2_in);
   resumed.run();
   for (std::size_t slot = 0; slot < 4; ++slot)
     expect_campaign_identical(uninterrupted, resumed, slot);

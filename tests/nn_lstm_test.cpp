@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/gradient_check.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
+#include "test_helpers.h"
 
 namespace drcell::nn {
 namespace {
@@ -109,44 +112,47 @@ TEST(LstmGateKernel, FusedGradientCheckAtBatch1And32) {
   }
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST(LstmGateKernel, FusedMatchesStdReferenceWithinFastmathTolerance) {
-  // Fused fastmath vs the retained std:: gate kernel, B ∈ {1, 32}: hidden
+  // The same cell run under the native backend (fused fastmath gate pass)
+  // and under the reference backend (std:: gate pass), B ∈ {1, 32}: hidden
   // states and accumulated parameter gradients agree within the fastmath
   // divergence bound (per-activation ≤1e-12 relative; a few steps of BPTT
   // compound it only modestly). This is the numeric-divergence contract —
   // the two kernels are deliberately NOT bit-identical.
   for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
-    Rng rng_a(51), rng_b(51);
-    Lstm fused(4, 6, rng_a);
-    Lstm reference(4, 6, rng_b);
-    reference.set_reference_gate_kernel(true);
-
     Rng data_rng(52 + batch);
     auto seq = random_sequence(4, batch, 4, data_rng);
     for (auto& m : seq) m *= 3.0;  // push some gates toward saturation
     Matrix grad_h(batch, 6);
     for (double& v : grad_h.data()) v = data_rng.normal();
 
-    for (auto* p : fused.parameters()) p->zero_grad();
-    for (auto* p : reference.parameters()) p->zero_grad();
-    const Matrix h_fused = fused.forward(seq);
-    const Matrix h_ref = reference.forward(seq);
-    for (std::size_t i = 0; i < h_fused.data().size(); ++i)
-      EXPECT_NEAR(h_fused.data()[i], h_ref.data()[i], 1e-12)
-          << "batch=" << batch << " i=" << i;
+    struct Run {
+      Matrix h;
+      std::vector<Matrix> grads;
+    };
+    const auto run_under = [&](const std::string& backend) {
+      testing::ScopedBackend scoped(backend);
+      Rng rng(51);
+      Lstm lstm(4, 6, rng);
+      for (auto* p : lstm.parameters()) p->zero_grad();
+      Run run{lstm.forward(seq), {}};
+      lstm.backward(grad_h);
+      for (const auto* p : lstm.parameters()) run.grads.push_back(p->grad);
+      return run;
+    };
+    const Run fused = run_under("native");
+    const Run reference = run_under("reference");
 
-    fused.backward(grad_h);
-    reference.backward(grad_h);
-    const auto pa = fused.parameters();
-    const auto pb = reference.parameters();
-    for (std::size_t p = 0; p < pa.size(); ++p)
-      for (std::size_t i = 0; i < pa[p]->grad.data().size(); ++i)
-        EXPECT_NEAR(pa[p]->grad.data()[i], pb[p]->grad.data()[i], 1e-10)
+    for (std::size_t i = 0; i < fused.h.data().size(); ++i)
+      EXPECT_NEAR(fused.h.data()[i], reference.h.data()[i], 1e-12)
+          << "batch=" << batch << " i=" << i;
+    for (std::size_t p = 0; p < fused.grads.size(); ++p)
+      for (std::size_t i = 0; i < fused.grads[p].data().size(); ++i)
+        EXPECT_NEAR(fused.grads[p].data()[i], reference.grads[p].data()[i],
+                    1e-10)
             << "batch=" << batch << " param=" << p;
   }
 }
-#endif
 
 TEST(Lstm, GradientWrtParametersMatchesFiniteDifferences) {
   Rng rng(9);

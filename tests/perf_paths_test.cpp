@@ -1,7 +1,7 @@
-// Tests for the hot-path overhaul: blocked matmul vs the retained naive
-// reference, matmul_into storage reuse, warm-started ALS matching the
-// cold-start solution, thread-pooled committee/trainer parity with the
-// serial paths, and the DCHECK demotion scheme.
+// Tests for the hot-path overhaul: blocked matmul vs the reference
+// backend's seed kernel, matmul_into storage reuse, warm-started ALS
+// matching the cold-start solution, thread-pooled committee/trainer parity
+// with the serial paths, and the DCHECK demotion scheme.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,9 +11,11 @@
 #include "cs/matrix_completion.h"
 #include "cs/mean_inference.h"
 #include "cs/temporal_inference.h"
+#include "linalg/backend.h"
 #include "linalg/matrix.h"
 #include "rl/dqn_trainer.h"
 #include "rl/drqn_qnetwork.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -29,28 +31,26 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   return worst;
 }
 
-#ifdef DRCELL_ENABLE_REFERENCE_KERNELS
 TEST(BlockedMatmul, MatchesNaiveReferenceOnRandomShapes) {
   // Shapes straddle the tile boundaries (32/128): smaller, exact multiples,
-  // and non-multiples in every dimension.
+  // and non-multiples in every dimension. The reference backend's matmul is
+  // the seed's unblocked ikj loop; it accumulates in the same k-order as
+  // the blocked kernel, so the two must agree bit for bit.
   const std::size_t shapes[][3] = {{1, 57, 64},   {3, 5, 7},    {32, 32, 32},
                                    {33, 65, 17},  {31, 129, 100}, {64, 128, 96},
                                    {130, 33, 129}, {2, 1, 2}};
+  const testing::ScopedBackend native("native");  // the blocked kernel
+  const ComputeBackend& reference = *BackendRegistry::find("reference");
   Rng rng(42);
   for (const auto& s : shapes) {
     const Matrix a = random_normal_matrix(s[0], s[1], rng);
     const Matrix b = random_normal_matrix(s[1], s[2], rng);
-    const Matrix fast = a.matmul(b);
-    const Matrix ref = a.matmul_naive(b);
-    EXPECT_LE(max_abs_diff(fast, ref), 1e-10 * static_cast<double>(s[1]))
-        << "shape " << s[0] << "x" << s[1] << "x" << s[2];
-    // The retained seed kernel accumulates in the same k-order as the
-    // blocked kernel, so it must agree bit for bit.
-    EXPECT_EQ(fast, a.matmul_unblocked(b))
+    Matrix ref(s[0], s[2]);
+    reference.matmul_into(a, b, ref);
+    EXPECT_EQ(a.matmul(b), ref)
         << "shape " << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
-#endif
 
 TEST(BlockedMatmul, MatmulIntoReusesStorageAndMatchesMatmul) {
   Rng rng(7);

@@ -5,8 +5,10 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "baselines/qbc_selector.h"
 #include "baselines/random_selector.h"
 #include "core/campaign_scheduler.h"
 #include "core/checkpoint.h"
@@ -190,6 +192,51 @@ TEST(Checkpoint, ResumeBitIdenticalToUninterrupted) {
     EXPECT_EQ(uninterrupted.action_log(i), resumed.action_log(i));
   }
   EXPECT_EQ(resumed.waves_completed(), uninterrupted.waves_completed());
+}
+
+TEST(Checkpoint, QbcResumeBitIdenticalToUninterrupted) {
+  // QBC keeps two pieces of state the environment replay cannot rebuild:
+  // its tie-break draw stream and its committee's ALS warm-start fit. Both
+  // travel in its checkpoint words, so a resumed QBC campaign must pick
+  // exactly the cells the uninterrupted one does.
+  // A noisy task and a wider window, so a cold committee fit lands on a
+  // different reconstruction than the warm-started one and the difference
+  // reaches QBC's variance argmax.
+  auto task = std::make_shared<const mcs::SensingTask>(
+      testing::make_toy_task(12, 24, /*noise=*/3.0));
+  CampaignConfig campaign = campaign_config(agent_config());
+  campaign.env.inference_window = 8;
+  const auto populate_qbc = [&](CampaignScheduler& scheduler) {
+    for (std::uint64_t seed : {3u, 4u})
+      scheduler.add_campaign(
+          "qbc-" + std::to_string(seed), campaign, task, engine_factory(),
+          std::make_shared<baselines::QbcSelector>(
+              baselines::QbcSelector::make_default(*task, seed)));
+    scheduler.add_campaign("random", campaign, task, engine_factory(),
+                           std::make_shared<baselines::RandomSelector>(5));
+  };
+
+  CampaignScheduler uninterrupted;
+  populate_qbc(uninterrupted);
+  uninterrupted.run();
+
+  CampaignScheduler burst;
+  populate_qbc(burst);
+  burst.run(/*max_waves=*/40);
+  ASSERT_FALSE(burst.all_done());
+  std::ostringstream out(std::ios::binary);
+  save_checkpoint(burst, out);
+
+  CampaignScheduler resumed;
+  populate_qbc(resumed);
+  std::istringstream in(out.str(), std::ios::binary);
+  load_checkpoint(resumed, in);
+  resumed.run();
+
+  for (std::size_t i = 0; i < uninterrupted.num_campaigns(); ++i) {
+    expect_same_result(uninterrupted.results()[i], resumed.results()[i]);
+    EXPECT_EQ(uninterrupted.action_log(i), resumed.action_log(i)) << i;
+  }
 }
 
 TEST(Checkpoint, TruncatedStreamThrows) {

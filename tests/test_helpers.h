@@ -1,16 +1,36 @@
 // Shared fixtures for the drcell test suite: tiny deterministic sensing
-// tasks that keep end-to-end tests fast.
+// tasks that keep end-to-end tests fast, and a scoped compute-backend
+// switch.
 #pragma once
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "cs/matrix_completion.h"
 #include "data/synthetic_field.h"
+#include "linalg/backend.h"
 #include "mcs/environment.h"
 #include "mcs/sensing_task.h"
 
 namespace drcell::testing {
+
+/// Activates a compute backend for the guard's lifetime and restores the
+/// previously active one afterwards, so a test comparing backends leaves
+/// the suite's backend (DRCELL_BACKEND) untouched for later tests.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(const std::string& name)
+      : previous_(BackendRegistry::active().name()) {
+    BackendRegistry::set_active(name);
+  }
+  ~ScopedBackend() { BackendRegistry::set_active(previous_); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+
+ private:
+  std::string previous_;
+};
 
 /// A smooth, strongly structured toy task: value = base(cell) + wave(cycle),
 /// exactly rank-2 plus mean, so matrix completion recovers it from few
