@@ -656,16 +656,9 @@ void bench_rl(bench::JsonReporter& report, bool quick) {
   rl::DqnTrainer trainer = make_paper_scale_trainer(2);
   const auto train = bench::measure_ms([&] { (void)trainer.train_step(); },
                                        quick ? 150.0 : 400.0, 5000);
+  // Absolute time only; end-to-end training speed is measured by
+  // perfbench's paper_train.
   report.add("dqn_train_step", train.wall_ms, train.iterations,
-             1e3 / train.wall_ms);
-
-  // train_step_batched and train_step_fastmath name the same production
-  // update (batched engine, fused fastmath gates) and report its absolute
-  // time only; end-to-end training speed is measured by perfbench's
-  // paper_train.
-  report.add("train_step_batched", train.wall_ms, train.iterations,
-             1e3 / train.wall_ms);
-  report.add("train_step_fastmath", train.wall_ms, train.iterations,
              1e3 / train.wall_ms);
 }
 

@@ -32,9 +32,12 @@ double observed_rmse(const Matrix& row_factors, const Matrix& col_factors,
 namespace {
 // Weighted chunking policy for the ALS/LOO fan-outs (shared implementation
 // in util/chunking.h; boundaries only group solves, never change the
-// arithmetic). The ridge solves here are hundreds of ns each, so the
-// default 256-weight floor keeps dispatch overhead in the noise while
-// letting small windows still split across lanes.
+// arithmetic). A weight unit is one observation row of a ridge system and
+// costs about 28 ns in the fused kernel (a 57-cell window's ~30-row solves
+// take about 0.9 µs each on a 4-vCPU x86-64 VM), so the default 256-weight
+// floor puts about 7 µs of solves in a chunk. On that VM the 57 x 48
+// Sensor-Scope window still infers no slower at 4 lanes than at 1, so
+// small windows keep splitting across lanes.
 constexpr util::ChunkPolicy kSolveChunkPolicy{};
 
 std::vector<std::size_t> chunk_bounds(std::size_t count, std::size_t lanes,
@@ -43,6 +46,24 @@ std::vector<std::size_t> chunk_bounds(std::size_t count, std::size_t lanes,
   return util::chunk_bounds(count, lanes, total_obs, weight,
                             kSolveChunkPolicy);
 }
+
+/// One chunk's ridge-solve scratch: the kernel workspace, the gathered
+/// design-row pointers and rhs of the current system, and its solution.
+/// Allocated once per chunk before the solves start, so no solve allocates.
+struct SolveScratch {
+  SolveScratch(std::size_t max_obs, std::size_t rank)
+      : ws(rank), rows(max_obs), b(max_obs), x(rank) {}
+
+  /// Solves the system of the first `count` gathered rows into `x`.
+  void solve(std::size_t count, double lambda) {
+    ridge_solve_rows({rows.data(), count}, {b.data(), count}, lambda, ws, x);
+  }
+
+  RidgeWorkspace ws;
+  std::vector<const double*> rows;
+  std::vector<double> b;
+  std::vector<double> x;
+};
 }  // namespace
 
 MatrixCompletion::MatrixCompletion(MatrixCompletionOptions options)
@@ -206,17 +227,20 @@ MatrixCompletion::Fit MatrixCompletion::fit(
   std::vector<double> solve_delta(std::max(m, n), 0.0);
   std::vector<double> solve_factor(std::max(m, n), 0.0);
 
+  // One scratch per chunk of either half-sweep, reused by every sweep.
+  std::vector<SolveScratch> scratch(
+      std::max(row_bounds.size(), col_bounds.size()) - 1,
+      SolveScratch(max_obs, rank));
+
   // One ALS half-sweep: for every index i, ridge-solve dst's row i against
   // the src-side factors of its observed entries. Solves are independent
   // (dst rows are disjoint, src is read-only during the phase), so chunks of
-  // them run concurrently; each chunk hoists one design-matrix/rhs workspace
-  // across its solves.
+  // them run concurrently, each on its own scratch.
   const auto half_sweep = [&](const std::vector<std::size_t>& bounds,
                               Matrix& dst, const Matrix& src,
                               auto&& obs_list, auto&& obs_value) {
     pool.parallel_for(bounds.size() - 1, [&](std::size_t chunk) {
-      Matrix a(max_obs, rank);
-      std::vector<double> b(max_obs);
+      SolveScratch& s = scratch[chunk];
       for (std::size_t i = bounds[chunk]; i < bounds[chunk + 1]; ++i) {
         const std::vector<std::size_t>& obs = obs_list(i);
         if (obs.empty()) {
@@ -226,25 +250,21 @@ MatrixCompletion::Fit MatrixCompletion::fit(
           solve_max[i] = solve_delta[i] = solve_factor[i] = 0.0;
           continue;
         }
-        a.resize(obs.size(), rank);
-        b.resize(obs.size());
         for (std::size_t j = 0; j < obs.size(); ++j) {
-          const auto from = src.row(obs[j]);
-          std::copy(from.begin(), from.end(), a.row(j).begin());
-          b[j] = obs_value(i, obs[j]) - mu;
+          s.rows[j] = src.row(obs[j]).data();
+          s.b[j] = obs_value(i, obs[j]) - mu;
         }
         // Weighted-lambda ALS (Zhou et al.): scaling the ridge by the number
         // of observations keeps sparsely observed rows from blowing up to
         // compensate for small factors on the other side.
-        const auto x = ridge_solve(
-            a, b, options_.lambda * static_cast<double>(obs.size()));
+        s.solve(obs.size(), options_.lambda * static_cast<double>(obs.size()));
         double mx = 0.0, dsq = 0.0, fsq = 0.0;
         for (std::size_t k = 0; k < rank; ++k) {
-          const double d = dst(i, k) - x[k];
+          const double d = dst(i, k) - s.x[k];
           mx = std::max(mx, std::fabs(d));
           dsq += d * d;
-          fsq += x[k] * x[k];
-          dst(i, k) = x[k];
+          fsq += s.x[k] * s.x[k];
+          dst(i, k) = s.x[k];
         }
         solve_max[i] = mx;
         solve_delta[i] = dsq;
@@ -368,9 +388,8 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
   // of them fan out over the pool exactly like the ALS half-sweeps:
   // results land by index, bit-identical to serial for any worker count.
   pool.parallel_for(bounds.size() - 1, [&](std::size_t chunk) {
-    Matrix a(max_obs, rank);
-    std::vector<double> b;
-    b.reserve(max_obs);
+    SolveScratch s(max_obs, rank);
+    std::vector<double> u(rank);
     for (std::size_t idx = bounds[chunk]; idx < bounds[chunk + 1]; ++idx) {
       const std::size_t cell = rows_in_col[idx];
       // Both factors touching the held-out entry are re-solved without it —
@@ -381,39 +400,33 @@ std::vector<double> MatrixCompletion::loo_column_predictions(
       // Row factor of the held-out cell from its *other* observations
       // (column factors fixed):
       const auto& cols_of_row = observed.observed_cols_in_row(cell);
-      std::vector<double> u(rank, 0.0);
+      std::fill(u.begin(), u.end(), 0.0);
       if (cols_of_row.size() > 1) {
-        a.resize(cols_of_row.size() - 1, rank);
-        b.clear();
         std::size_t i = 0;
         for (std::size_t c : cols_of_row) {
           if (c == col) continue;
-          for (std::size_t k = 0; k < rank; ++k) a(i, k) = f.col_factors(c, k);
-          b.push_back(observed.value(cell, c) - f.mu);
+          s.rows[i] = f.col_factors.row(c).data();
+          s.b[i] = observed.value(cell, c) - f.mu;
           ++i;
         }
-        u = ridge_solve(
-            a, b,
-            options_.lambda * static_cast<double>(cols_of_row.size() - 1));
+        s.solve(i, options_.lambda * static_cast<double>(i));
+        std::copy(s.x.begin(), s.x.end(), u.begin());
       }
       // Assessed column's factor without the held-out cell (row factors
       // fixed):
-      std::vector<double> v(rank, 0.0);
+      std::fill(s.x.begin(), s.x.end(), 0.0);
       if (count > 1) {
-        a.resize(count - 1, rank);
-        b.clear();
         std::size_t i = 0;
         for (std::size_t r : rows_in_col) {
           if (r == cell) continue;
-          for (std::size_t k = 0; k < rank; ++k) a(i, k) = f.row_factors(r, k);
-          b.push_back(observed.value(r, col) - f.mu);
+          s.rows[i] = f.row_factors.row(r).data();
+          s.b[i] = observed.value(r, col) - f.mu;
           ++i;
         }
-        v = ridge_solve(a, b,
-                        options_.lambda * static_cast<double>(count - 1));
+        s.solve(i, options_.lambda * static_cast<double>(i));
       }
       double pred = f.mu;
-      for (std::size_t k = 0; k < rank; ++k) pred += u[k] * v[k];
+      for (std::size_t k = 0; k < rank; ++k) pred += u[k] * s.x[k];
       predictions[idx] = pred;
     }
   });

@@ -22,6 +22,13 @@
 // window. infer() still hard-checks the final reconstruction for
 // non-finite values (the campaign fault domains catch that CheckError).
 //
+// Each ridge solve runs linalg/solvers.h's fused kernel (ridge_solve_rows):
+// the factor rows of the observed entries are read through pointers and the
+// Gram matrix, its Cholesky factor and the rhs live in a workspace that
+// each chunk allocates once per fit() (once per call in the leave-one-out
+// pass), so neither sweep count nor solve count adds heap allocations
+// (tests/alloc_count_test.cpp pins this).
+//
 // Threading / determinism contract (every pooled path in this engine — the
 // ALS half-sweeps and the leave-one-out solves — upholds it, and any new
 // fan-out added here must too; see src/util/thread_pool.h for the pool-side

@@ -9,6 +9,18 @@
 
 namespace drcell {
 
+/// The one Cholesky body: factors the lower triangle of the n x n row-major
+/// matrix `a` into the lower triangle of `l` (both with row stride n; the
+/// upper triangle of `l` is left untouched). Returns false, with `l`
+/// partially written, when a pivot is not positive (or is NaN). Cholesky and
+/// the fused ridge kernel (linalg/solvers.h) both factor through it.
+bool cholesky_factor_lower(const double* a, double* l, std::size_t n);
+
+/// Solves L Lᵀ x = b for the lower-triangular factor `l` (row stride n).
+/// `b` is overwritten with the forward-substitution result L⁻¹ b.
+void cholesky_substitute(const double* l, std::size_t n, double* b,
+                         double* x);
+
 /// Cholesky factorisation A = L Lᵀ of a symmetric positive-definite matrix.
 /// Throws CheckError if A is not square or not (numerically) SPD.
 struct Cholesky {
@@ -16,8 +28,6 @@ struct Cholesky {
 
   /// Solves A x = b using the factorisation.
   std::vector<double> solve(std::span<const double> b) const;
-  /// L y = b (forward substitution).
-  std::vector<double> forward(std::span<const double> b) const;
 
   Matrix l;  ///< lower-triangular factor
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "cs/committee.h"
@@ -8,7 +9,9 @@
 #include "cs/mean_inference.h"
 #include "cs/partial_matrix.h"
 #include "cs/temporal_inference.h"
+#include "data/datasets.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace drcell::cs {
 namespace {
@@ -287,6 +290,91 @@ TEST(Committee, InferAllRunsEveryMember) {
   // interpolator gives 1 + (1/3)·6 = 3, the mean engine gives the row
   // mean 4.
   EXPECT_NE(preds[0](0, 1), preds[1](0, 1));
+}
+
+// Bit pins of the ALS engine's outputs. The expected hashes were recorded
+// with the ridge solves running as Gram-through-backend plus Cholesky; the
+// fused ridge kernel must reproduce every bit, under every backend and any
+// worker count.
+std::uint64_t hash_bits(std::uint64_t h, std::span<const double> values) {
+  for (const double v : values)
+    h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ULL;
+  return h;
+}
+
+/// ALS outputs over a window sequence: infer() on every window, then the
+/// leave-one-out predictions of the listed columns, all on one engine (so
+/// the later windows resume warm from the earlier fits).
+std::uint64_t hash_als_outputs(const std::vector<PartialMatrix>& windows,
+                               const std::vector<std::size_t>& loo_cols,
+                               util::ThreadPool& pool) {
+  MatrixCompletion engine;
+  engine.set_thread_pool(&pool);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const PartialMatrix& w : windows) {
+    h = hash_bits(h, engine.infer(w).data());
+    for (const std::size_t c : loo_cols)
+      h = hash_bits(h, engine.loo_column_predictions(w, c));
+  }
+  return h;
+}
+
+/// Reveals `reveals` random entries of `task`'s cycles [dense, cols) per
+/// step on top of `first`, one window per step.
+std::vector<PartialMatrix> reveal_sequence(const PartialMatrix& first,
+                                           const mcs::SensingTask& task,
+                                           std::size_t dense,
+                                           std::size_t steps,
+                                           std::size_t reveals,
+                                           std::uint64_t seed) {
+  std::vector<PartialMatrix> windows = {first};
+  PartialMatrix w = first;
+  Rng rng(seed);
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t k = 0; k < reveals; ++k) {
+      const std::size_t cell = rng.uniform_index(w.rows());
+      const std::size_t cycle = dense + rng.uniform_index(w.cols() - dense);
+      if (!w.observed(cell, cycle)) w.set(cell, cycle, task.truth(cell, cycle));
+    }
+    windows.push_back(w);
+  }
+  return windows;
+}
+
+TEST(AlsBitPin, SensorScopeWindowOutputsArePinned) {
+  // The 57 x 48 Sensor-Scope window of bench_micro_components: the first 24
+  // cycles dense, the rest ~25% observed.
+  const auto task = data::make_sensorscope_like(2018).temperature;
+  PartialMatrix window(task.num_cells(), 48);
+  Rng rng(3);
+  for (std::size_t c = 0; c < 48; ++c)
+    for (std::size_t cell = 0; cell < task.num_cells(); ++cell)
+      if (c < 24 || rng.bernoulli(0.25))
+        window.set(cell, c, task.truth(cell, c));
+  const auto windows = reveal_sequence(window, task, 24, 4, 14, 71);
+  const std::vector<std::size_t> loo_cols = {0, 30, 47};
+  util::ThreadPool serial(0), pooled(3);
+  const std::uint64_t h = hash_als_outputs(windows, loo_cols, serial);
+  EXPECT_EQ(h, hash_als_outputs(windows, loo_cols, pooled));
+  EXPECT_EQ(h, 0x6b45f356f50bd3dfULL) << std::hex << h;
+}
+
+TEST(AlsBitPin, CityScaleWarmSequenceOutputsArePinned) {
+  // A 1000 x 16 city-scale window (first 4 cycles ~30% observed, the rest
+  // ~10%) evolving by 100 reveals per step on one warm-started engine.
+  const auto task = data::make_city_scale_task();
+  PartialMatrix window(task.num_cells(), 16);
+  Rng rng(5);
+  for (std::size_t c = 0; c < 16; ++c)
+    for (std::size_t cell = 0; cell < task.num_cells(); ++cell)
+      if (rng.bernoulli(c < 4 ? 0.3 : 0.1))
+        window.set(cell, c, task.truth(cell, c));
+  const auto windows = reveal_sequence(window, task, 4, 5, 100, 9);
+  const std::vector<std::size_t> loo_cols = {15};
+  util::ThreadPool serial(0), pooled(3);
+  const std::uint64_t h = hash_als_outputs(windows, loo_cols, serial);
+  EXPECT_EQ(h, hash_als_outputs(windows, loo_cols, pooled));
+  EXPECT_EQ(h, 0xb2c2e26df94c77b9ULL) << std::hex << h;
 }
 
 }  // namespace

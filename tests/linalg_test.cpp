@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 
+#include "linalg/backend.h"
 #include "linalg/decompositions.h"
 #include "linalg/matrix.h"
 #include "linalg/solvers.h"
@@ -320,6 +323,175 @@ TEST(Solvers, RidgeHandlesUnderdeterminedWithRegularisation) {
   const auto x = ridge_solve(a, b, 0.1);
   EXPECT_EQ(x.size(), 3u);
   for (double v : x) EXPECT_TRUE(std::isfinite(v));
+}
+
+// The composed path the fused ridge kernel replaced, written out: the
+// reference backend's AᵀA, λ on the diagonal, Aᵀb, a textbook Cholesky
+// retried under an escalating diagonal jitter, then forward and back
+// substitution. `jitter_steps` counts the retries; `threw` marks the final
+// factorisation failing.
+struct ComposedRidge {
+  std::vector<double> x;
+  int jitter_steps = 0;
+  bool threw = false;
+};
+
+ComposedRidge composed_ridge(const Matrix& a, std::span<const double> b,
+                             double lambda) {
+  const std::size_t n = a.cols();
+  Matrix g(n, n);
+  BackendRegistry::find("reference")->matmul_transposed_self_add(a, a, g);
+  for (std::size_t i = 0; i < n; ++i) g(i, i) += lambda;
+  std::vector<double> rhs(n, 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < n; ++c) rhs[c] += a(r, c) * b[r];
+  double trace = 0.0;
+  for (std::size_t i = 0; i < n; ++i) trace += g(i, i);
+  double jitter = 1e-12 * std::max(trace / static_cast<double>(n), 1.0);
+  Matrix l(n, n);
+  const auto factor = [&] {
+    for (std::size_t j = 0; j < n; ++j) {
+      double d = g(j, j);
+      for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+      if (!(d > 0.0)) return false;
+      l(j, j) = std::sqrt(d);
+      for (std::size_t i = j + 1; i < n; ++i) {
+        double s = g(i, j);
+        for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+        l(i, j) = s / l(j, j);
+      }
+    }
+    return true;
+  };
+  ComposedRidge out;
+  while (!factor()) {
+    if (out.jitter_steps == 8) {
+      out.threw = true;
+      return out;
+    }
+    for (std::size_t i = 0; i < n; ++i) g(i, i) += jitter;
+    jitter *= 100.0;
+    ++out.jitter_steps;
+  }
+  std::vector<double> y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = rhs[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s / l(i, i);
+  }
+  out.x.assign(n, 0.0);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = y[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * out.x[k];
+    out.x[ii] = s / l(ii, ii);
+  }
+  return out;
+}
+
+/// Runs ridge_solve_rows on rows gathered (by pointer) from `pool` and the
+/// composed oracle on the same rows copied into a dense A, and requires
+/// the two to agree bit for bit — or both to throw. Returns the oracle.
+ComposedRidge expect_kernel_matches_composed(
+    const Matrix& pool, const std::vector<std::size_t>& picks,
+    std::span<const double> b, double lambda, RidgeWorkspace& ws) {
+  const std::size_t rank = pool.cols();
+  Matrix a(picks.size(), rank);
+  std::vector<const double*> rows;
+  for (std::size_t j = 0; j < picks.size(); ++j) {
+    rows.push_back(pool.row(picks[j]).data());
+    for (std::size_t k = 0; k < rank; ++k) a(j, k) = pool(picks[j], k);
+  }
+  const ComposedRidge oracle = composed_ridge(a, b, lambda);
+  std::vector<double> x(rank);
+  if (oracle.threw) {
+    EXPECT_THROW(ridge_solve_rows(rows, b, lambda, ws, x), CheckError);
+    EXPECT_THROW((void)ridge_solve(a, b, lambda), CheckError);
+    return oracle;
+  }
+  ridge_solve_rows(rows, b, lambda, ws, x);
+  const std::vector<double> wrapped = ridge_solve(a, b, lambda);
+  for (std::size_t k = 0; k < rank; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x[k]),
+              std::bit_cast<std::uint64_t>(oracle.x[k]))
+        << "rows " << picks.size() << " rank " << rank << " k " << k;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(wrapped[k]),
+              std::bit_cast<std::uint64_t>(oracle.x[k]));
+  }
+  return oracle;
+}
+
+TEST(RidgeKernel, BitIdenticalToComposedPathOnRandomShapes) {
+  // One workspace at the largest rank serves every smaller system, as a
+  // chunk's workspace does across its solves.
+  RidgeWorkspace ws(12);
+  Rng rng(2026);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t rank = 1 + rng.uniform_index(12);
+    const std::size_t count = rng.uniform_index(41);
+    Matrix pool = random_normal_matrix(50, rank, rng);
+    // Exact zeros (single entries and whole rows) exercise the Gram skip.
+    if (trial % 2 == 0)
+      for (double& v : pool.data())
+        if (rng.bernoulli(0.2)) v = 0.0;
+    if (trial % 5 == 0)
+      for (std::size_t k = 0; k < rank; ++k) pool(7, k) = 0.0;
+    std::vector<std::size_t> picks(count);
+    for (auto& p : picks) p = rng.uniform_index(50);
+    std::vector<double> b(count);
+    for (auto& v : b) v = rng.normal(0.0, 5.0);
+    const double lambda = 0.005 * static_cast<double>(count) +
+                          (trial % 3 == 0 ? 1e-3 : 0.0);
+    expect_kernel_matches_composed(pool, picks, b, lambda, ws);
+  }
+}
+
+TEST(RidgeKernel, JitterEscalationMatchesComposedPathAtZeroLambda) {
+  // lambda = 0 on rank-deficient designs (fewer rows than unknowns, or an
+  // all-zero column) leaves AᵀA singular: the jitter retry must run, and
+  // the kernel must retry exactly as the composed path does.
+  RidgeWorkspace ws(12);
+  Rng rng(77);
+  int escalated = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t rank = 2 + rng.uniform_index(11);
+    Matrix pool = random_normal_matrix(30, rank, rng);
+    const std::size_t count =
+        trial % 2 == 0 ? rng.uniform_index(rank) : 5 + rng.uniform_index(20);
+    if (trial % 2 == 1) {
+      const std::size_t dead = rng.uniform_index(rank);
+      for (std::size_t r = 0; r < 30; ++r) pool(r, dead) = 0.0;
+    }
+    std::vector<std::size_t> picks(count);
+    for (auto& p : picks) p = rng.uniform_index(30);
+    std::vector<double> b(count);
+    for (auto& v : b) v = rng.normal();
+    const ComposedRidge oracle =
+        expect_kernel_matches_composed(pool, picks, b, 0.0, ws);
+    EXPECT_FALSE(oracle.threw);
+    if (oracle.jitter_steps > 0) ++escalated;
+  }
+  EXPECT_GT(escalated, 50);
+}
+
+TEST(RidgeKernel, NonFiniteInputStillThrows) {
+  RidgeWorkspace ws(4);
+  Rng rng(5);
+  Matrix pool = random_normal_matrix(10, 4, rng);
+  pool(3, 2) = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::size_t> picks = {0, 3, 5, 9};
+  const std::vector<double> b = {1.0, 2.0, 3.0, 4.0};
+  const ComposedRidge oracle =
+      expect_kernel_matches_composed(pool, picks, b, 0.02, ws);
+  EXPECT_TRUE(oracle.threw);
+}
+
+TEST(RidgeKernel, RejectsUndersizedWorkspace) {
+  RidgeWorkspace ws(2);
+  const double row[3] = {1.0, 2.0, 3.0};
+  const double* rows[1] = {row};
+  const double b[1] = {1.0};
+  std::vector<double> x(3);
+  EXPECT_THROW(ridge_solve_rows(rows, b, 0.1, ws, x), CheckError);
 }
 
 TEST(Solvers, LuSolveMatchesKnownSolution) {
